@@ -8,6 +8,8 @@ package rimarket_test
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"rimarket"
@@ -352,13 +354,16 @@ func BenchmarkPortfolioEvaluate(b *testing.B) {
 }
 
 // BenchmarkMillionUsers pushes a 100k-user cohort through one 1-year
-// sweep cell of the streaming batch engine (simulate.RunBatchTotals).
-// The cohort aliases 64 distinct year-long demand patterns across all
-// users — the BatchUser contract explicitly permits shared backing
-// arrays — so the input costs 64 traces of memory while the engine
-// still advances every user through every hour. Besides the gated
-// ns/op, the bench reports the two throughput figures the scale-out
-// roadmap tracks: users/sec and simulated instance-hours/sec.
+// sweep cell: GOMAXPROCS goroutines each replay a contiguous share of
+// the users through Engine.Totals on an engine of their own, the way
+// the grid's pool workers do. The cohort aliases 64 distinct year-long
+// demand patterns across all users — Totals only reads its series — so
+// the input costs 64 traces of memory while the engine still replays
+// every user through every hour. Each engine is warmed on the 64
+// patterns before the timer starts, so the timed replays allocate
+// nothing and allocs/op counts only the fan-out itself. Besides the
+// gated ns/op, the bench reports the two throughput figures the
+// scale-out roadmap tracks: users/sec and simulated instance-hours/sec.
 func BenchmarkMillionUsers(b *testing.B) {
 	it := pricing.D2XLarge() // 1-year card: 8760-hour period
 	const users = 100_000
@@ -381,25 +386,58 @@ func BenchmarkMillionUsers(b *testing.B) {
 		}
 		demands[p], plans[p] = d, plan
 	}
-	batch := make([]simulate.BatchUser, users)
-	for i := range batch {
-		batch[i] = simulate.BatchUser{Demand: demands[i%patterns], NewRes: plans[i%patterns]}
-	}
-	policy, err := core.NewA3T4(it, 0.8)
+	a3t4, err := core.NewA3T4(it, 0.8)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var policy simulate.SellingPolicy = a3t4 // boxed once, not per call
 	cfg := simulate.Config{Instance: it, SellingDiscount: 0.8}
+	workers := runtime.GOMAXPROCS(0)
+	engines := make([]simulate.Engine, workers)
+	for w := range engines {
+		for p := range demands {
+			if _, err := engines[w].Totals(demands[p], plans[p], cfg, policy); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	totals := make([]simulate.Totals, users)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		totals, err := simulate.RunBatchTotals(context.Background(), batch, cfg, policy, simulate.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
+		for w := range engines {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for u := w * users / workers; u < (w+1)*users/workers; u++ {
+					tot, err := engines[w].Totals(demands[u%patterns], plans[u%patterns], cfg, policy)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					totals[u] = tot
+				}
+			}(w)
 		}
-		if len(totals) != users {
-			b.Fatalf("totals = %d", len(totals))
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	b.StopTimer()
+	sold := 0
+	for u := range totals {
+		if totals[u] != totals[u%patterns] {
+			b.Fatalf("user %d totals %+v differ from its pattern's %+v", u, totals[u], totals[u%patterns])
+		}
+		sold += totals[u].Sold
+	}
+	if sold == 0 {
+		b.Fatal("no user sold an instance; the policy path went unexercised")
 	}
 	secs := b.Elapsed().Seconds()
 	if secs > 0 {

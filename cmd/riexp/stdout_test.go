@@ -1,10 +1,8 @@
 package main
 
-// Stdout-identity suite for -batch: the streaming batch engine must be
-// invisible in the output — every experiment's rendering is
-// byte-identical to the default per-user path at parallelism
-// {1, 4, NumCPU} — and -trace-format colt must reproduce the CSV
-// loader's output byte for byte from a converted store.
+// Stdout-identity suite: every experiment's rendering is byte-identical
+// at parallelism 1, 4 and NumCPU, and -trace-format colt reproduces the
+// CSV loader's output byte for byte from a converted store.
 
 import (
 	"context"
@@ -21,12 +19,6 @@ import (
 	"rimarket/internal/workload"
 )
 
-// batchParallelisms is the worker-count matrix the issue pins the
-// stdout identity at.
-func batchParallelisms() []int {
-	return []int{1, 4, runtime.GOMAXPROCS(0)}
-}
-
 func runStdout(t *testing.T, args ...string) string {
 	t.Helper()
 	var out strings.Builder
@@ -36,6 +28,8 @@ func runStdout(t *testing.T, args ...string) string {
 	return out.String()
 }
 
+// TestBatchStdoutIdentity runs each of eight experiments as one batch
+// at -parallelism 1, 4 and NumCPU and requires byte-identical stdout.
 func TestBatchStdoutIdentity(t *testing.T) {
 	exps := []struct {
 		name string
@@ -52,11 +46,11 @@ func TestBatchStdoutIdentity(t *testing.T) {
 	}
 	for _, exp := range exps {
 		t.Run(exp.name, func(t *testing.T) {
-			ref := runStdout(t, exp.args...)
-			for _, par := range batchParallelisms() {
-				got := runStdout(t, append([]string{"-batch", "-parallelism", fmt.Sprint(par)}, exp.args...)...)
+			ref := runStdout(t, append([]string{"-parallelism", "1"}, exp.args...)...)
+			for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
+				got := runStdout(t, append([]string{"-parallelism", fmt.Sprint(par)}, exp.args...)...)
 				if got != ref {
-					t.Fatalf("-batch -parallelism %d output differs from the per-user path", par)
+					t.Fatalf("-parallelism %d output differs from -parallelism 1", par)
 				}
 			}
 		})
@@ -105,10 +99,6 @@ func TestTraceFormatColtStdoutIdentity(t *testing.T) {
 	got := runStdout(t, "-exp", "table3", "-tracedir", coltDir, "-trace-format", "colt")
 	if got != ref {
 		t.Fatalf("-trace-format colt output differs from the CSV loader:\n--- csv\n%s\n--- colt\n%s", ref, got)
-	}
-	batch := runStdout(t, "-exp", "table3", "-tracedir", coltDir, "-trace-format", "colt", "-batch")
-	if batch != ref {
-		t.Fatal("-trace-format colt -batch output differs from the CSV loader")
 	}
 }
 

@@ -55,14 +55,16 @@ func TestRunSession(t *testing.T) {
 			t.Errorf("session output missing %q:\n%s", want, s)
 		}
 	}
-	// The session is deterministic: batch mode and a parallelism bound
-	// must reproduce it byte for byte.
-	var again strings.Builder
-	if err := run(append(args, "-batch", "-parallelism", "2"), &again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != s {
-		t.Errorf("batch session diverged:\n--- got ---\n%s--- want ---\n%s", again.String(), s)
+	// The session is deterministic: parallelism bounds of 1 and 2 must
+	// reproduce it byte for byte.
+	for _, par := range []string{"1", "2"} {
+		var again strings.Builder
+		if err := run(append(args, "-parallelism", par), &again); err != nil {
+			t.Fatal(err)
+		}
+		if again.String() != s {
+			t.Errorf("-parallelism %s session diverged:\n--- got ---\n%s--- want ---\n%s", par, again.String(), s)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -14,22 +13,18 @@ import (
 	"rimarket/internal/stats"
 )
 
-// simulateRun indirects the cost engine so tests can count or fail
-// invocations; production code always calls the real simulate.Run.
-var simulateRun = simulate.Run
-
 // obsRun is the drivers' timed engine call: one clock pair around
-// simulateRun feeding the run-latency histogram, so the engine itself
+// simulate.Run feeding the run-latency histogram, so the engine itself
 // never reads a clock (floatdet forbids it there). With observability
-// off (nil m) it is exactly simulateRun. Returns the run's wall time
+// off (nil m) it is exactly simulate.Run. Returns the run's wall time
 // in nanoseconds for per-cell attribution.
 func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Result, int64, error) {
 	if m == nil {
-		res, err := simulateRun(demand, newRes, cfg, policy)
+		res, err := simulate.Run(demand, newRes, cfg, policy)
 		return res, 0, err
 	}
 	start := m.Now()
-	res, err := simulateRun(demand, newRes, cfg, policy)
+	res, err := simulate.Run(demand, newRes, cfg, policy)
 	ns := m.Now().Sub(start).Nanoseconds()
 	if err == nil {
 		m.EngineRunNs.Observe(ns)
@@ -37,47 +32,26 @@ func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy si
 	return res, ns, err
 }
 
-// simulateRunBatchTotals indirects the batch engine the same way
-// simulateRun indirects the per-user one, so tests can count or fail
-// batch invocations.
-var simulateRunBatchTotals = simulate.RunBatchTotals
+// simulateTotals indirects the totals-only engine run behind the grid
+// and the baseline, so tests can count or fail invocations; production
+// code always calls the real Engine.Totals.
+var simulateTotals = (*simulate.Engine).Totals
 
-// obsBatch is the drivers' timed batch-engine call: one clock pair
-// around RunBatchTotals feeding the run-latency histogram with the
-// whole batch's wall time (the batch engine replaces many Run calls
-// with one, so it gets one observation). With observability off it is
-// exactly RunBatchTotals. Returns the call's wall time in nanoseconds
-// for per-cell attribution.
-func obsBatch(ctx context.Context, m *obs.Metrics, users []simulate.BatchUser, cfg simulate.Config, policy simulate.SellingPolicy, opts simulate.BatchOptions) ([]simulate.BatchTotal, int64, error) {
+// obsTotals is obsRun for the totals-only run on a worker's reusable
+// engine: one clock pair feeding the run-latency histogram, exactly
+// simulateTotals with observability off (nil m).
+func obsTotals(m *obs.Metrics, e *simulate.Engine, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, int64, error) {
 	if m == nil {
-		totals, err := simulateRunBatchTotals(ctx, users, cfg, policy, opts)
-		return totals, 0, err
+		tot, err := simulateTotals(e, demand, newRes, cfg, policy)
+		return tot, 0, err
 	}
 	start := m.Now()
-	totals, err := simulateRunBatchTotals(ctx, users, cfg, policy, opts)
+	tot, err := simulateTotals(e, demand, newRes, cfg, policy)
 	ns := m.Now().Sub(start).Nanoseconds()
 	if err == nil {
 		m.EngineRunNs.Observe(ns)
 	}
-	return totals, ns, err
-}
-
-// mapBatchErr rewrites the batch engine's first-invalid-user error into
-// the exact per-user error text the per-user fan-out produces for the
-// same inputs (cell prefix included when cellName is non-empty), so
-// callers see identical failures whichever engine ran. Any other error
-// — notably a verbatim ctx.Err() from a cancelled batch — passes
-// through untouched, preserving the cancellation contract.
-func (p *CohortPlan) mapBatchErr(err error, cellName string) error {
-	var be *simulate.BatchUserError
-	if !errors.As(err, &be) || be.Index < 0 || be.Index >= len(p.users) {
-		return err
-	}
-	user := p.users[be.Index].Trace.User
-	if cellName != "" {
-		return fmt.Errorf("experiments: cell %s: user %s: %w", cellName, user, be.Err)
-	}
-	return fmt.Errorf("experiments: user %s: %w", user, be.Err)
+	return tot, ns, err
 }
 
 // workerCount resolves the Config.Parallelism contract: non-positive
@@ -297,9 +271,6 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 			pending = append(pending, ci)
 		}
 	}
-	if p.cfg.Batch {
-		return p.runGridBatch(ctx, cells, keeps, engs, out, pending, spill, m, tracker)
-	}
 	// remaining counts each pending cell's outstanding jobs; the worker
 	// whose decrement hits zero owns the cell's spill append. The
 	// atomic decrement orders every user's result write before that
@@ -308,19 +279,24 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 	for _, ci := range pending {
 		remaining[ci].Store(int64(users))
 	}
-	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(pending)*users, func(w, j int) error {
+	// Each pool worker replays its jobs on its own reusable engine:
+	// the grid reads only cost and sold count, so no per-hour or
+	// per-instance records are built.
+	jobs := len(pending) * users
+	engines := make([]simulate.Engine, workerCount(p.cfg.Parallelism, jobs))
+	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, j int) error {
 		ci, ui := pending[j/users], j%users
 		u := &p.users[ui]
-		run, ns, err := obsRun(m, u.Trace.Demand, u.NewRes, engs[ci], cells[ci].Policy)
+		tot, ns, err := obsTotals(m, &engines[w], u.Trace.Demand, u.NewRes, engs[ci], cells[ci].Policy)
 		if err != nil {
 			return fmt.Errorf("experiments: cell %s: user %s: %w", cells[ci].Name, u.Trace.User, err)
 		}
 		tracker.JobDone(ci, ns)
 		cell := &out[ci]
-		cell.Cost[ui] = run.Cost.Total()
-		cell.Sold[ui] = run.SoldCount()
+		cell.Cost[ui] = tot.Cost.Total()
+		cell.Sold[ui] = tot.Sold
 		if keep := keeps[ci][ui].Total; keep != 0 {
-			cell.Norm[ui] = run.Cost.Total() / keep
+			cell.Norm[ui] = tot.Cost.Total() / keep
 		} else {
 			cell.Norm[ui] = 1
 		}
@@ -362,78 +338,6 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 		// The run already failed; the close error, if any, is secondary.
 		_ = spill.close()
 		return nil, err
-	}
-	if err := spill.close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runGridBatch is RunGridNamed's batch-engine fan-out: one streaming
-// RunBatchTotals call per pending cell — each internally sharded over
-// Config.Parallelism workers — instead of one pool job per (cell,
-// user) pair. Results, error text, spill behavior and cancellation
-// semantics match the per-user fan-out exactly, pinned by the
-// grid-level differential suite in batch_test.go. Cells run in cell
-// order; within a cell the batch engine guarantees bit-identical
-// outputs at any parallelism.
-func (p *CohortPlan) runGridBatch(ctx context.Context, cells []Cell, keeps [][]KeepStat, engs []simulate.Config, out []CellResult, pending []int, spill *gridSpill, m *obs.Metrics, tracker *obs.GridTracker) ([]CellResult, error) {
-	users := len(p.users)
-	// Job accounting mirrors the pool's: every pending (cell, user)
-	// pair is admitted up front, completions land a cell at a time.
-	if m != nil {
-		m.JobsTotal.Add(int64(len(pending) * users))
-	}
-	bu := p.batchUsers()
-	opts := simulate.BatchOptions{Parallelism: p.cfg.Parallelism}
-	whole := make([]bool, len(cells))
-	for ci := range cells {
-		whole[ci] = spill != nil && spill.resumed[ci]
-	}
-	for _, ci := range pending {
-		totals, ns, err := obsBatch(ctx, m, bu, engs[ci], cells[ci].Policy, opts)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
-				// A cancelled batch discards its cell wholesale, so every
-				// cell filled before this one is complete; close the spill
-				// before reporting them, like the per-user path.
-				if cerr := spill.close(); cerr != nil {
-					return nil, cerr
-				}
-				completed := make([]CellResult, 0, len(cells))
-				names := make([]string, 0, len(cells))
-				for ci := range cells {
-					if whole[ci] {
-						completed = append(completed, out[ci])
-						names = append(names, cells[ci].Name)
-					}
-				}
-				return completed, &CancelError{Completed: names, Total: len(cells), Err: ctxErr}
-			}
-			_ = spill.close()
-			return nil, p.mapBatchErr(err, cells[ci].Name)
-		}
-		cell := &out[ci]
-		for ui := range totals {
-			cell.Cost[ui] = totals[ui].Cost.Total()
-			cell.Sold[ui] = totals[ui].Sold
-			if keep := keeps[ci][ui].Total; keep != 0 {
-				cell.Norm[ui] = totals[ui].Cost.Total() / keep
-			} else {
-				cell.Norm[ui] = 1
-			}
-		}
-		tracker.JobsDone(ci, users, ns)
-		if m != nil {
-			m.JobsDone.Add(int64(users))
-		}
-		whole[ci] = true
-		if spill != nil {
-			if err := spill.appendCell(0, ci, cell); err != nil {
-				_ = spill.close()
-				return nil, err
-			}
-		}
 	}
 	if err := spill.close(); err != nil {
 		return nil, err

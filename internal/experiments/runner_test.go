@@ -147,14 +147,14 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 		&plan.users[3].Trace.Demand[0]: plan.users[3].Trace.User,
 		&plan.users[7].Trace.Demand[0]: plan.users[7].Trace.User,
 	}
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(e *simulate.Engine, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		if _, bad := fail[&demand[0]]; bad {
-			return simulate.Result{}, errors.New("injected engine failure")
+			return simulate.Totals{}, errors.New("injected engine failure")
 		}
-		return orig(demand, newRes, cfg, pol)
+		return orig(e, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	policy, err := core.NewA3T4(plan.cfg.Instance, plan.cfg.SellingDiscount)
 	if err != nil {
@@ -186,12 +186,12 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 // not users*2V.
 func TestSweepKeepBaselineHoisted(t *testing.T) {
 	var calls atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(e *simulate.Engine, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		calls.Add(1)
-		return orig(demand, newRes, cfg, pol)
+		return orig(e, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	cfg := smallConfig()
 	values := []float64{0.25, 0.5, 0.75}
@@ -211,12 +211,12 @@ func TestSweepKeepBaselineHoisted(t *testing.T) {
 // Keep-Reserved cost only depends on the price card.
 func TestSensitivityRunsOneBaselinePerCard(t *testing.T) {
 	var calls atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(e *simulate.Engine, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		calls.Add(1)
-		return orig(demand, newRes, cfg, pol)
+		return orig(e, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	cfg := smallConfig()
 	discounts := []float64{0.2, 0.5, 0.8}
@@ -323,5 +323,74 @@ func TestRunGridValidation(t *testing.T) {
 	}
 	if len(plan.Users()) != plan.Len() {
 		t.Errorf("Users() length %d != Len %d", len(plan.Users()), plan.Len())
+	}
+}
+
+// TestGridAndBaselineMatchFullRuns pins the drivers' totals-only runs
+// to full simulate.Run replays: every grid cell's cost, norm and sold
+// count, and every Keep-Reserved baseline's total and idle hours, equal
+// the values the per-hour and per-instance records give, at every
+// worker count. Invalid input fails with Run's exact error text behind
+// the driver's cell and user prefix.
+func TestGridAndBaselineMatchFullRuns(t *testing.T) {
+	plan, err := NewCohortPlan(context.Background(), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engCfg := plan.engineConfig()
+	cells := resumeCells(t, plan.cfg, plan)
+	for _, par := range parallelisms() {
+		plan.cfg.Parallelism = par
+		plan.keeps = map[pricing.InstanceType][]KeepStat{}
+		keeps, err := plan.KeepStats(context.Background(), engCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := plan.RunGrid(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ui, u := range plan.users {
+			keep, err := simulate.Run(u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle := 0
+			for _, h := range keep.Hours {
+				idle += h.ActiveRes - (h.Demand - h.OnDemand)
+			}
+			if want := (KeepStat{Total: keep.Cost.Total(), IdleHours: idle}); keeps[ui] != want {
+				t.Fatalf("par=%d user %d: baseline %+v, full run says %+v", par, ui, keeps[ui], want)
+			}
+			for ci, c := range cells {
+				run, err := simulate.Run(u.Trace.Demand, u.NewRes, c.Engine, c.Policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				norm := 1.0
+				if keep.Cost.Total() != 0 {
+					norm = run.Cost.Total() / keep.Cost.Total()
+				}
+				cell := grid[ci]
+				if cell.Cost[ui] != run.Cost.Total() || cell.Sold[ui] != run.SoldCount() || cell.Norm[ui] != norm {
+					t.Fatalf("par=%d cell %s user %d: grid (%v, %d, %v), full run (%v, %d, %v)", par, c.Name, ui,
+						cell.Cost[ui], cell.Sold[ui], cell.Norm[ui], run.Cost.Total(), run.SoldCount(), norm)
+				}
+			}
+		}
+	}
+
+	u := plan.users[0]
+	_, runErr := simulate.Run(u.Trace.Demand, u.NewRes, engCfg, nil)
+	_, err = plan.RunGrid(context.Background(), []Cell{{Name: "poison", Engine: engCfg}})
+	if want := fmt.Sprintf("experiments: cell poison: user %s: %v", u.Trace.User, runErr); err == nil || err.Error() != want {
+		t.Errorf("grid error %v, want %q", err, want)
+	}
+	bad := engCfg
+	bad.Instance.PeriodHours = 0 // misses the per-card cache and fails validation
+	_, runErr = simulate.Run(u.Trace.Demand, u.NewRes, bad, core.KeepReserved{})
+	_, err = plan.KeepStats(context.Background(), bad)
+	if want := fmt.Sprintf("experiments: user %s: %v", u.Trace.User, runErr); err == nil || err.Error() != want {
+		t.Errorf("baseline error %v, want %q", err, want)
 	}
 }

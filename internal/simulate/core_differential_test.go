@@ -58,7 +58,7 @@ func corePolicies(t *testing.T, it pricing.InstanceType, discount float64) map[s
 
 // TestDifferentialCorePolicies replays planned cohort users through
 // both engines under every production policy and demands identical
-// Results.
+// Results, and identical totals from one reused Engine.
 func TestDifferentialCorePolicies(t *testing.T) {
 	it := pricing.InstanceType{
 		Name:           "diff.core",
@@ -74,6 +74,7 @@ func TestDifferentialCorePolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for name, policy := range corePolicies(t, it, 0.8) {
 		t.Run(name, func(t *testing.T) {
+			var eng simulate.Engine // reused across the cohort, as a grid worker does
 			for _, tr := range traces {
 				newRes, err := purchasing.PlanReservations(tr.Demand, it.PeriodHours, purchasing.AllReserved{})
 				if err != nil {
@@ -96,6 +97,17 @@ func TestDifferentialCorePolicies(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("user %s: optimized result diverges from reference\n got %+v\nwant %+v",
 						tr.User, got.Cost, want.Cost)
+				}
+				tot, err := eng.Totals(tr.Demand, newRes, cfg, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTot := simulate.Totals{Cost: want.Cost, Sold: want.SoldCount()}
+				for _, h := range want.Hours {
+					wantTot.IdleHours += h.ActiveRes - (h.Demand - h.OnDemand)
+				}
+				if tot != wantTot {
+					t.Fatalf("user %s: totals diverge from reference\n got %+v\nwant %+v", tr.User, tot, wantTot)
 				}
 			}
 		})

@@ -9,12 +9,13 @@ import (
 	"rimarket/internal/pricing"
 )
 
-// This file pins the optimized Run to the reference engine
-// (reference_test.go): over hundreds of seeded random cases covering
-// every policy shape the engine distinguishes, both engines must
-// produce field-for-field identical Results — including bit-identical
-// float accounting, which holds because both accumulate income in the
-// same working-sequence order. CI runs this under -race.
+// This file pins the optimized Run and the reused-Engine Totals run to
+// the reference engine (reference_test.go): over hundreds of seeded
+// random cases covering every policy shape the engine distinguishes,
+// Run must produce field-for-field identical Results and Totals the
+// matching totals — including bit-identical float accounting, which
+// holds because every engine accumulates income in the same
+// working-sequence order. CI runs this under -race.
 
 // diffFixed is a plain fixed-checkpoint policy with the paper's
 // threshold shape: sell iff the working time is below the threshold.
@@ -170,33 +171,68 @@ func assertResultsIdentical(t *testing.T, got, want Result) {
 	}
 }
 
-// TestDifferentialEngineEquivalence is the PR's safety net for the
+// totalsOf derives the totals Engine.Totals must return from a full
+// Result: the cost, the sold count, and the active reserved hours that
+// served no demand.
+func totalsOf(res Result) Totals {
+	tot := Totals{Cost: res.Cost, Sold: res.SoldCount()}
+	for _, h := range res.Hours {
+		tot.IdleHours += h.ActiveRes - (h.Demand - h.OnDemand)
+	}
+	return tot
+}
+
+// assertErrorsIdentical fails unless got and want are both nil or
+// both non-nil with the same text.
+func assertErrorsIdentical(t *testing.T, engine string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s error mismatch: got %v, reference %v", engine, got, want)
+	}
+	if got != nil && got.Error() != want.Error() {
+		t.Fatalf("%s error text mismatch: got %q, reference %q", engine, got, want)
+	}
+}
+
+// TestDifferentialEngineEquivalence is the safety net for the
 // optimized engine: ≥200 seeded cases, every policy shape, optimized
-// Run ≡ runReference field for field.
+// Run ≡ runReference field for field, and Totals ≡ the reference's
+// totals. One Engine serves every case, so scratch state left over
+// from a larger or differently-shaped earlier case would show up as a
+// divergence. The inputs must come back untouched, which is what lets
+// callers alias one series across many users.
 func TestDifferentialEngineEquivalence(t *testing.T) {
 	const cases = 250
 	rng := rand.New(rand.NewSource(20180702)) // ICDCS'18 vintage
+	var eng Engine
 	for i := 0; i < cases; i++ {
 		c := sampleDiffCase(rng, i)
 		t.Run(c.name, func(t *testing.T) {
+			demand := append([]int(nil), c.demand...)
+			newRes := append([]int(nil), c.newRes...)
 			want, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
 			got, gotErr := Run(c.demand, c.newRes, c.cfg, c.policy)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("error mismatch: got %v, reference %v", gotErr, wantErr)
+			tot, totErr := eng.Totals(c.demand, c.newRes, c.cfg, c.policy)
+			assertErrorsIdentical(t, "Run", gotErr, wantErr)
+			assertErrorsIdentical(t, "Totals", totErr, wantErr)
+			if !reflect.DeepEqual(c.demand, demand) || !reflect.DeepEqual(c.newRes, newRes) {
+				t.Fatal("an engine wrote to its input series")
 			}
-			if gotErr != nil {
-				if gotErr.Error() != wantErr.Error() {
-					t.Fatalf("error text mismatch: got %q, reference %q", gotErr, wantErr)
-				}
+			if wantErr != nil {
 				return
 			}
 			assertResultsIdentical(t, got, want)
+			if wantTot := totalsOf(want); tot != wantTot {
+				t.Fatalf("Totals differ:\n got %+v\nwant %+v", tot, wantTot)
+			}
 		})
 	}
 }
 
-// TestDifferentialEngineErrors pins the two engines to reject invalid
-// input identically (same error text), since they share validation.
+// TestDifferentialEngineErrors pins Run, Totals and the reference
+// engine to reject invalid input identically (same error text), since
+// they share validation. The reused Engine must also come through a
+// rejected call unharmed.
 func TestDifferentialEngineErrors(t *testing.T) {
 	cfg := testConfig()
 	badCases := []struct {
@@ -212,16 +248,25 @@ func TestDifferentialEngineErrors(t *testing.T) {
 		{"nil policy", []int{1}, []int{0}, cfg, nil},
 		{"bad cfg", []int{1}, []int{0}, Config{Instance: testInstance(), SellingDiscount: 2}, KeepReserved{}},
 	}
+	var eng Engine
 	for _, c := range badCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
 			_, gotErr := Run(c.demand, c.newRes, c.cfg, c.policy)
-			if wantErr == nil || gotErr == nil {
-				t.Fatalf("expected both engines to fail: got %v, reference %v", gotErr, wantErr)
+			_, totErr := eng.Totals(c.demand, c.newRes, c.cfg, c.policy)
+			if wantErr == nil {
+				t.Fatal("reference engine accepted the bad input")
 			}
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("error text mismatch: got %q, reference %q", gotErr, wantErr)
-			}
+			assertErrorsIdentical(t, "Run", gotErr, wantErr)
+			assertErrorsIdentical(t, "Totals", totErr, wantErr)
 		})
+	}
+	demand, newRes := []int{3, 1, 2}, []int{2, 0, 1}
+	want, err := runReference(demand, newRes, cfg, KeepReserved{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := eng.Totals(demand, newRes, cfg, KeepReserved{}); err != nil || got != totalsOf(want) {
+		t.Fatalf("Totals after rejected calls = %+v, %v; want %+v", got, err, totalsOf(want))
 	}
 }

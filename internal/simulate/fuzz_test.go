@@ -11,8 +11,11 @@ import (
 // demand/reservation series, price cards and policy shapes, and checks
 // that it (a) never panics, (b) conserves the Eq. (1) accounting
 // identities, and (c) stays field-for-field identical to the reference
-// engine. Seed corpus lives in testdata/fuzz/FuzzEngineRun.
+// engine, with the totals run of one Engine reused across every input
+// matching the reference's totals. Seed corpus lives in
+// testdata/fuzz/FuzzEngineRun.
 func FuzzEngineRun(f *testing.F) {
+	var eng Engine // reused across inputs: stale scratch would diverge
 	f.Add([]byte{5, 3, 0, 7, 1}, []byte{1, 0, 2}, byte(40), byte(80), byte(12), byte(1), byte(10))
 	f.Add([]byte{}, []byte{}, byte(1), byte(0), byte(0), byte(0), byte(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{2, 2, 2, 2}, byte(3), byte(100), byte(99), byte(2), byte(2))
@@ -122,6 +125,13 @@ func FuzzEngineRun(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("optimized result diverges from reference:\n got %+v\nwant %+v", res.Cost, want.Cost)
+		}
+		tot, err := eng.Totals(demand, newRes, cfg, policy)
+		if err != nil {
+			t.Fatalf("Totals rejected valid fuzz input: %v", err)
+		}
+		if wantTot := totalsOf(want); tot != wantTot {
+			t.Fatalf("totals diverge from reference:\n got %+v\nwant %+v", tot, wantTot)
 		}
 	})
 }

@@ -56,6 +56,22 @@ func TestRunMetricsCounts(t *testing.T) {
 	if got := em.Runs.Value(); got != 1 {
 		t.Errorf("failed run was recorded: Runs = %d", got)
 	}
+
+	// A totals run books exactly what the equivalent Run booked.
+	var eng Engine
+	var tm obs.EngineMetrics
+	cfg.Metrics = &tm
+	if _, err := eng.Totals(demand[:10], newRes, cfg, sellAlways{age: 10}); err == nil {
+		t.Fatal("mismatched series should fail")
+	}
+	if _, err := eng.Totals(demand, newRes, cfg, sellAlways{age: 10}); err != nil {
+		t.Fatal(err)
+	}
+	got := [4]int64{tm.Runs.Value(), tm.Hours.Value(), tm.Instances.Value(), tm.Sold.Value()}
+	want := [4]int64{em.Runs.Value(), em.Hours.Value(), em.Instances.Value(), em.Sold.Value()}
+	if got != want {
+		t.Errorf("totals run booked runs/hours/instances/sold %v, Run booked %v", got, want)
+	}
 }
 
 // TestRunMetricsNoPerturbation is the engine-level slice of the
@@ -77,6 +93,19 @@ func TestRunMetricsNoPerturbation(t *testing.T) {
 		}
 		if !reflect.DeepEqual(plain, withObs) {
 			t.Errorf("policy %T: result differs with Metrics attached", policy)
+		}
+		var eng Engine
+		plainTot, err := eng.Totals(demand, newRes, base, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withObsTot, err := eng.Totals(demand, newRes, observed, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plainTot != withObsTot || plainTot != totalsOf(plain) {
+			t.Errorf("policy %T: totals %+v with Metrics, %+v without, Run says %+v",
+				policy, withObsTot, plainTot, totalsOf(plain))
 		}
 	}
 }
@@ -102,5 +131,34 @@ func TestRunMetricsAllocParity(t *testing.T) {
 	off, on := run(cfgOff), run(cfgOn)
 	if on != off {
 		t.Errorf("allocs/op with metrics = %.1f, without = %.1f; hook must add none", on, off)
+	}
+}
+
+// TestTotalsWarmZeroAllocs pins the reusable engine's contract: once an
+// Engine's scratch has grown to fit a user, replaying that user again
+// allocates nothing — with or without the metrics hook, and for the
+// single-checkpoint, multi-checkpoint and per-instance policy shapes.
+func TestTotalsWarmZeroAllocs(t *testing.T) {
+	demand, newRes := obsSeries()
+	cfg := testConfig()
+	cfg.Metrics = new(obs.EngineMetrics)
+	for _, policy := range []SellingPolicy{
+		KeepReserved{},
+		sellAlways{age: 10},
+		diffMulti{ages: []int{40, 10, 10, -1, 25}, threshold: 5},
+		diffPerInstance{seed: 7, threshold: 5},
+	} {
+		var eng Engine
+		if _, err := eng.Totals(demand, newRes, cfg, policy); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := eng.Totals(demand, newRes, cfg, policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("policy %T: warm Totals allocates %.1f times per run, want 0", policy, allocs)
+		}
 	}
 }

@@ -9,16 +9,16 @@
 # BenchmarkRidServe (the rid daemon's serving hot path: sequential
 # cost, p99 tail latency published as that mode's ns/op, and parallel
 # throughput), and BenchmarkMillionUsers (a 100k-user aliased cohort
-# through one 1-year cell of the streaming batch engine) with
+# through one 1-year cell, one reused engine per goroutine) with
 # -benchmem, takes the minimum over repeats, and writes the baseline
 # JSON that CI's benchgate step enforces — 20% regression tolerance on
 # time, and exactly-equal allocs/op for the ObsOverhead pair, pinning
 # the hook's zero-alloc contract. The GridSkewed rows hold the
 # scheduler's wall time on skewed grids, so a work-stealing regression
 # shows up as a benchgate failure, not a slow sweep; the MillionUsers
-# row holds the batch engine's cohort throughput, so losing the
-# struct-of-arrays layout (or accidentally falling back to one Run per
-# user) costs integer factors and trips the gate; the RidServe rows
+# row holds the totals run's cohort throughput and its allocs/op, so a
+# totals run that stops reusing its engine's scratch (or falls back to
+# building full Run records) trips the gate; the RidServe rows
 # hold the serving envelope's cost, so a lock or allocation slipped
 # into the lock-free evaluation path fails the gate rather than
 # surfacing as production tail latency. One MillionUsers op is tens of
