@@ -291,12 +291,12 @@ func BenchmarkMarketplaceClearing(b *testing.B) {
 	it := pricing.D2XLarge()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := rimarket.NewMarket()
+		m, err := rimarket.NewMarket(rimarket.AmazonFee)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < 100; j++ {
-			if _, err := m.ListAtDiscount("s", it, it.PeriodHours/2, 0.5+float64(j%50)/100); err != nil {
+			if _, err := m.ListDeclining("s", it, it.PeriodHours/2, 0.5+float64(j%50)/100); err != nil {
 				b.Fatal(err)
 			}
 		}

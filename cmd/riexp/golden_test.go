@@ -1,7 +1,9 @@
 package main
 
 // Golden tests pin riexp's sweep and sensitivity output at the default
-// test scale (TestScaleConfig: 90 users, 60-day horizon, seed 2018).
+// test scale (TestScaleConfig: 90 users, 60-day horizon, seed 2018),
+// and the market-dynamics table at the paper scale (300 users, one
+// year), where the order book's monthly repricing shows.
 // Every quantity in these tables is deterministic — the cohort, the
 // purchasing behaviors and the selling policies are all seeded — so
 // the files assert byte-exact output. Regenerate after an intentional
@@ -32,6 +34,7 @@ func TestGolden(t *testing.T) {
 		{name: "sweep-k", args: []string{"-exp", "sweep-k"}},
 		{name: "sweep-a", args: []string{"-exp", "sweep-a"}},
 		{name: "sensitivity", args: []string{"-exp", "sensitivity"}},
+		{name: "market", args: []string{"-exp", "market", "-scale", "full"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

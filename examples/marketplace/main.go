@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	market, err := rimarket.NewMarket() // Amazon's 12% fee
+	market, err := rimarket.NewMarket(rimarket.AmazonFee) // Amazon's 12% fee
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,23 +34,23 @@ func main() {
 		t2nano.Upfront, t2nano.PeriodHours, remaining,
 		t2nano.Upfront*float64(remaining)/float64(t2nano.PeriodHours))
 
-	id, err := market.ListAtDiscount("alice", t2nano, remaining, 0.8) // 20% off the cap
+	id, err := market.ListDeclining("alice", t2nano, remaining, 0.8) // 20% off the cap
 	if err != nil {
 		log.Fatal(err)
 	}
-	listing := market.OpenListings("t2.nano")[0]
-	fmt.Printf("alice lists #%d at $%.2f (80%% of the cap)\n", id, listing.AskUpfront)
+	listing := market.OpenBook("t2.nano")[0]
+	fmt.Printf("alice lists #%d at $%.2f (80%% of the cap)\n", id, listing.EffectiveAsk)
 
 	// Competing sellers undercut and overprice.
-	if _, err := market.ListAtDiscount("bob", t2nano, remaining, 0.6); err != nil {
+	if _, err := market.ListDeclining("bob", t2nano, remaining, 0.6); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := market.ListAtDiscount("carol", t2nano, remaining, 1.0); err != nil {
+	if _, err := market.ListDeclining("carol", t2nano, remaining, 1.0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\norder book (selling sequence):")
-	for i, l := range market.OpenListings("t2.nano") {
-		fmt.Printf("  %d. %-6s asks $%.2f\n", i+1, l.Seller, l.AskUpfront)
+	for i, l := range market.OpenBook("t2.nano") {
+		fmt.Printf("  %d. %-6s asks $%.2f\n", i+1, l.Seller, l.EffectiveAsk)
 	}
 
 	// A buyer wants two instances: bob's cheapest listing sells first,
@@ -62,9 +62,15 @@ func main() {
 	fmt.Println("\ndave buys two:")
 	for _, s := range sales {
 		fmt.Printf("  from %-6s paid $%.4f, fee $%.4f, seller receives $%.4f\n",
-			s.Listing.Seller, s.PricePaid, s.Fee, s.SellerProceeds)
+			s.Seller, s.PricePaid, s.Fee, s.SellerProceeds)
 	}
-	fmt.Printf("\nalice's proceeds: $%.3f (the paper's $7.2 * 0.88 = $6.336)\n", market.Proceeds("alice"))
+	var proceeds float64
+	for _, tr := range market.Trades() {
+		if tr.Seller == "alice" {
+			proceeds += tr.SellerProceeds
+		}
+	}
+	fmt.Printf("\nalice's proceeds: $%.3f (the paper's $7.2 * 0.88 = $6.336)\n", proceeds)
 	fmt.Printf("carol's overpriced listing is still open: %d listing(s) remain\n",
-		len(market.OpenListings("t2.nano")))
+		len(market.OpenBook("t2.nano")))
 }

@@ -94,7 +94,7 @@ func main() {
 	}
 
 	// Recycle every sold reservation through the marketplace.
-	market, err := rimarket.NewMarket()
+	market, err := rimarket.NewMarket(rimarket.AmazonFee)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,6 +112,7 @@ func main() {
 
 	fmt.Printf("\nportfolio: keep $%.2f vs A_{3T/4} $%.2f -> %.1f%% saved\n",
 		res.KeepTotal(), res.PolicyTotal(), res.SavingsFraction()*100)
+	_, _, fees := market.Totals()
 	fmt.Printf("marketplace: %d listings, %d resold, $%.2f in fees\n",
-		listed, bought, market.FeesCollected())
+		listed, bought, fees)
 }

@@ -155,7 +155,7 @@ func (p Randomized) Discount() float64 { return p.discount }
 // fractionFor derives the instance's checkpoint fraction from a
 // deterministic hash of (seed, start, batchIndex).
 func (p Randomized) fractionFor(start, batchIndex int) float64 {
-	u := uniformHash(p.seed, uint64(start), uint64(batchIndex))
+	u := UniformHash(p.seed, uint64(start), uint64(batchIndex))
 	return p.dist.Sample(u)
 }
 
@@ -187,9 +187,11 @@ func (p Randomized) ShouldSell(ck simulate.Checkpoint) bool {
 	return float64(ck.Worked) < beta
 }
 
-// uniformHash maps three words to a uniform float64 in [0, 1) using
-// splitmix64 finalization — stable across runs and platforms.
-func uniformHash(words ...uint64) float64 {
+// UniformHash maps words to a uniform float64 in [0, 1) using
+// splitmix64 finalization — stable across runs and platforms. It is
+// the repository's one seeded draw: randomized checkpoint fractions
+// and the market session's buyer arrivals both come from it.
+func UniformHash(words ...uint64) float64 {
 	var h uint64 = 0x9e3779b97f4a7c15
 	for _, w := range words {
 		h ^= w + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)

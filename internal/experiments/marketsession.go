@@ -11,7 +11,6 @@ import (
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 	"rimarket/internal/simulate"
-	"rimarket/internal/trade"
 )
 
 // MarketScenario parameterizes a two-sided market session: one shared
@@ -104,36 +103,13 @@ type MarketResult struct {
 	BuyerPaid, SellerProceeds, Fees float64
 }
 
-// marketTally accumulates one card's session statistics before the
-// frozen outcome is built.
-type marketTally struct {
-	listed, sold, expired int
-	hoursToSale           int
-	demand, used, fresh   int
-	peakDepth             int
-	depthSum              int64
-	paid, proceeds, fees  float64
-	// split re-sums fee+proceeds per trade in the same order as paid;
-	// paid == split bit-exactly because each trade recomposes exactly.
-	split float64
-}
-
-// cardStream is one card's precomputed session input: the seller
-// events in fill order and the planned users whose reservation
-// schedules drive the buyer side.
-type cardStream struct {
-	card   pricing.InstanceType
-	events []trade.SellEvent
-	next   int
-	users  []PlannedUser
-}
-
 // mixedSellEvents builds one card's seller stream: user i sells under
 // SellingPolicies[i mod 3], so the three online algorithms coexist in
 // one market and listings arrive throughout the horizon. Events are
-// merged in cohort order, then stable-sorted by hour, so listing order
-// — and hence equal-ask fill priority — is deterministic.
-func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]trade.SellEvent, error) {
+// merged in cohort order; the session stable-sorts them by hour, so
+// listing order — and hence equal-ask fill priority — is
+// deterministic.
+func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]SellEvent, error) {
 	a3, err := core.NewA3T4(card, discount)
 	if err != nil {
 		return nil, err
@@ -146,7 +122,7 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 	if err != nil {
 		return nil, err
 	}
-	perUser := make([][]trade.SellEvent, plan.Len())
+	perUser := make([][]SellEvent, plan.Len())
 	for pi, policy := range []simulate.SellingPolicy{a3, a2, a4} {
 		got, err := plan.sellEventsPerUser(ctx, policy)
 		if err != nil {
@@ -156,22 +132,21 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 			perUser[i] = got[i]
 		}
 	}
-	var events []trade.SellEvent
+	var events []SellEvent
 	for _, evs := range perUser {
 		events = append(events, evs...)
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Hour < events[j].Hour })
 	return events, nil
 }
 
 // RunMarketScenario plans the scenario's cohort once per card, then
-// replays all cards through a single hour-stepped order book:
-// each hour ages the book (expiring and repricing listings), lists the
-// hour's sell decisions, and routes the hour's planned reservations
-// through the book before falling back to fresh purchases. The session
-// loop is sequential, and its inputs are concatenated in cohort order
-// by deterministic fan-outs, so the result is byte-identical at any
-// Parallelism.
+// replays all cards through a single hour-stepped order book on the
+// shared market loop: each hour ages the book (expiring and repricing
+// listings), lists the hour's sell decisions, and routes the hour's
+// planned reservations through the book before falling back to fresh
+// purchases. The session loop is sequential, and its inputs are
+// concatenated in cohort order by deterministic fan-outs, so the
+// result is byte-identical at any Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the
@@ -182,9 +157,11 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	}
 	sp := obs.StartSpan(ctx, "market-session")
 	defer sp.End()
-	m := obs.FromContext(ctx)
 
-	streams := make([]*cardStream, len(sc.Cards))
+	// users[ci] are card ci's planned users, whose reservation
+	// schedules shop the book.
+	users := make([][]PlannedUser, len(sc.Cards))
+	var events []SellEvent
 	for ci, card := range sc.Cards {
 		cfg := sc.Base
 		cfg.Instance = card
@@ -192,117 +169,52 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 		if err != nil {
 			return nil, err
 		}
-		events, err := mixedSellEvents(ctx, plan, card, cfg.SellingDiscount)
+		evs, err := mixedSellEvents(ctx, plan, card, cfg.SellingDiscount)
 		if err != nil {
 			return nil, err
 		}
-		streams[ci] = &cardStream{card: card, events: events, users: plan.Users()}
+		users[ci] = plan.Users()
+		events = append(events, evs...)
 	}
+	// Within an hour, cards list in scenario order and each card's
+	// sellers in cohort order: the stable sort keeps the
+	// concatenation's order among equal hours.
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Hour < events[j].Hour })
 
-	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
+	loop, err := newMarketLoop(ctx, sc.Base.MarketFee, sc.Base.SellingDiscount)
 	if err != nil {
 		return nil, err
 	}
-	tallies := make([]marketTally, len(sc.Cards))
-	byName := make(map[string]*marketTally, len(sc.Cards))
-	for ci := range tallies {
-		byName[sc.Cards[ci].Name] = &tallies[ci]
+	// Register the cards up front so tally i is card i, traded or not.
+	takes := make([]func(marketplace.DepthSnapshot) bool, len(sc.Cards))
+	for ci, card := range sc.Cards {
+		loop.typeIndex(card.Name)
+		takes[ci] = usedBeatsFresh(card)
 	}
-
+	// Buyers: each planned reservation shops the book first.
+	buyers := func(hour int) error {
+		for ci, cardUsers := range users {
+			for _, u := range cardUsers {
+				if hour >= len(u.NewRes) {
+					continue
+				}
+				for k := 0; k < u.NewRes[hour]; k++ {
+					if err := loop.buy(u.Trace.User, ci, takes[ci]); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
 	horizon := sc.Base.Hours
-	for hour := 0; hour < horizon; hour++ {
-		if hour > 0 {
-			res := book.Step()
-			for _, lst := range res.Expired {
-				byName[lst.Instance.Name].expired++
-				if m != nil {
-					m.MarketExpiries.Add(1)
-				}
-			}
-		}
-
-		// Sellers list this hour's sell decisions under the scenario's
-		// declining schedule.
-		for ci, st := range streams {
-			t := &tallies[ci]
-			for st.next < len(st.events) && st.events[st.next].Hour == hour {
-				ev := st.events[st.next]
-				st.next++
-				if _, err := book.ListDeclining(ev.Seller, st.card, ev.RemainingHours, sc.Base.SellingDiscount); err != nil {
-					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.Seller, hour, err)
-				}
-				t.listed++
-				if m != nil {
-					m.MarketListings.Add(1)
-				}
-			}
-		}
-
-		// Buyers: each planned reservation shops the book first. A used
-		// listing is taken when its per-remaining-hour price beats a
-		// fresh reservation's per-hour upfront; otherwise (or when the
-		// book is empty) the unit is bought fresh.
-		for ci, st := range streams {
-			t := &tallies[ci]
-			freshPerHour := st.card.Upfront / float64(st.card.PeriodHours)
-			for _, u := range st.users {
-				want := 0
-				if hour < len(u.NewRes) {
-					want = u.NewRes[hour]
-				}
-				for k := 0; k < want; k++ {
-					t.demand++
-					if m != nil {
-						m.MarketBuyOrders.Add(1)
-					}
-					d := book.Depth(st.card.Name)
-					if d.Open == 0 || d.BestAsk > freshPerHour*float64(d.BestRemaining) {
-						t.fresh++
-						if m != nil {
-							m.MarketFreshBuys.Add(1)
-						}
-						continue
-					}
-					trades, err := book.Buy(u.Trace.User, st.card.Name, 1)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: buying %s at hour %d: %w", st.card.Name, hour, err)
-					}
-					tr := trades[0]
-					wait := tr.Hour - tr.ListedAt
-					t.used++
-					t.sold++
-					t.hoursToSale += wait
-					t.paid += tr.PricePaid
-					t.split += tr.Fee + tr.SellerProceeds
-					t.proceeds += tr.SellerProceeds
-					t.fees += tr.Fee
-					if m != nil {
-						m.MarketTrades.Add(1)
-						m.MarketHoursToSale.Add(int64(wait))
-					}
-				}
-			}
-		}
-
-		for ci, st := range streams {
-			d := book.Depth(st.card.Name)
-			t := &tallies[ci]
-			t.depthSum += int64(d.Open)
-			if d.Open > t.peakDepth {
-				t.peakDepth = d.Open
-			}
-		}
+	if err := loop.run(events, horizon, buyers); err != nil {
+		return nil, err
 	}
 
 	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
-	for ci, st := range streams {
-		t := &tallies[ci]
-		// Per-card conservation: fee+proceeds recomposes the price paid
-		// bit-exactly per trade, so the trade-order sums must be equal.
-		if t.paid != t.split {
-			return nil, fmt.Errorf("experiments: market session conservation broken for %s: buyers paid %v, sellers+fees received %v",
-				st.card.Name, t.paid, t.split)
-		}
+	for ci, card := range sc.Cards {
+		t := &loop.tallies[ci]
 		var saleProb, meanWait, fillRate float64
 		if t.listed > 0 {
 			saleProb = float64(t.sold) / float64(t.listed)
@@ -311,18 +223,18 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 			meanWait = float64(t.hoursToSale) / float64(t.sold)
 		}
 		if t.demand > 0 {
-			fillRate = float64(t.used) / float64(t.demand)
+			fillRate = float64(t.sold) / float64(t.demand)
 		}
 		res.Outcomes[ci] = MarketOutcome{
-			Type:            st.card.Name,
+			Type:            card.Name,
 			Listed:          t.listed,
 			Sold:            t.sold,
 			Expired:         t.expired,
-			OpenAtEnd:       book.Depth(st.card.Name).Open,
+			OpenAtEnd:       loop.book.Depth(card.Name).Open,
 			SaleProbability: saleProb,
 			MeanHoursToSale: meanWait,
 			BuyerDemand:     t.demand,
-			UsedFills:       t.used,
+			UsedFills:       t.sold,
 			FreshBuys:       t.fresh,
 			FillRate:        fillRate,
 			PeakDepth:       t.peakDepth,
@@ -332,27 +244,18 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 			Fees:            t.fees,
 		}
 	}
-
-	// Session-wide conservation, checked in the book's own trade order:
-	// re-summing the ledger's recompositions must reproduce the paid
-	// total bit-exactly, and the book's running totals must match their
-	// ledger re-sums (both accumulate per trade in the same order).
-	var paid, split, proceeds, fees float64
-	for _, tr := range book.Trades() {
-		paid += tr.PricePaid
-		split += tr.Fee + tr.SellerProceeds
-		proceeds += tr.SellerProceeds
-		fees += tr.Fee
-	}
-	gotPaid, gotProceeds, gotFees := book.Totals()
-	if paid != split || gotPaid != paid || gotProceeds != proceeds || gotFees != fees {
-		return nil, fmt.Errorf("experiments: market session conservation broken: ledger re-sums (%v, %v, %v, %v) vs book totals (%v, %v, %v)",
-			paid, split, proceeds, fees, gotPaid, gotProceeds, gotFees)
-	}
-	res.BuyerPaid = gotPaid
-	res.SellerProceeds = gotProceeds
-	res.Fees = gotFees
+	res.BuyerPaid, res.SellerProceeds, res.Fees = loop.book.Totals()
 	return res, nil
+}
+
+// usedBeatsFresh is the cohort buyers' rule: take the book's best
+// listing when its per-remaining-hour price beats a fresh
+// reservation's per-hour upfront.
+func usedBeatsFresh(card pricing.InstanceType) func(marketplace.DepthSnapshot) bool {
+	freshPerHour := card.Upfront / float64(card.PeriodHours)
+	return func(d marketplace.DepthSnapshot) bool {
+		return d.BestAsk <= freshPerHour*float64(d.BestRemaining)
+	}
 }
 
 // RenderMarketOutcomes renders the session's per-instance-type table:

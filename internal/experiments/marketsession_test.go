@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 )
@@ -75,7 +76,7 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 	if res.Horizon != sc.Base.Hours {
 		t.Errorf("horizon %d, want %d", res.Horizon, sc.Base.Hours)
 	}
-	var listed, sold int
+	var listed, sold, used, fresh int
 	var paid, split float64
 	for i, o := range res.Outcomes {
 		if o.Type != sc.Cards[i].Name {
@@ -104,6 +105,8 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 		}
 		listed += o.Listed
 		sold += o.Sold
+		used += o.UsedFills
+		fresh += o.FreshBuys
 		paid += o.BuyerPaid
 		split += o.SellerProceeds + o.Fees
 	}
@@ -111,6 +114,12 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 	// the emergent-alpha claim vacuous.
 	if listed == 0 || sold == 0 {
 		t.Fatalf("degenerate session: %d listed, %d sold", listed, sold)
+	}
+	// Both buyer branches run: reservations take a used listing when it
+	// beats a fresh reservation per remaining hour, and fall back to
+	// buying fresh when the book is empty or too dear.
+	if used == 0 || fresh == 0 {
+		t.Errorf("buyer side never took one branch: %d used fills, %d fresh buys", used, fresh)
 	}
 	if diff := paid - res.BuyerPaid; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("session paid total %v != per-type sum %v", res.BuyerPaid, paid)
@@ -123,6 +132,38 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 		if !strings.Contains(out, card.Name) {
 			t.Errorf("rendered table missing %s:\n%s", card.Name, out)
 		}
+	}
+
+	// The buyer rule itself, on a hand-built book: a reservation takes
+	// a used listing cheaper than fresh per remaining hour, and falls
+	// back to fresh when the best listing is dearer.
+	card := sc.Cards[0]
+	loop, err := newMarketLoop(context.Background(), sc.Base.MarketFee, sc.Base.SellingDiscount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti := loop.typeIndex(card.Name)
+	take := usedBeatsFresh(card)
+	rem := card.PeriodHours / 2
+	if _, err := loop.book.ListDeclining("cheap", card, rem, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if err := loop.buy("buyer", ti, take); err != nil {
+		t.Fatal(err)
+	}
+	// Listed at the full cap, one hour later the flat ask exceeds
+	// fresh per remaining hour.
+	dear := marketplace.PriceSchedule{{Term: marketplace.MonthsRemaining(rem), Price: marketplace.ProratedCap(card, rem)}}
+	if _, err := loop.book.List("dear", card, rem, dear); err != nil {
+		t.Fatal(err)
+	}
+	loop.book.Step()
+	if err := loop.buy("buyer", ti, take); err != nil {
+		t.Fatal(err)
+	}
+	if tl := loop.tallies[ti]; tl.sold != 1 || tl.fresh != 1 || tl.demand != 2 || loop.book.OpenCount() != 1 {
+		t.Errorf("buyer rule: used %d, fresh %d of %d demand, %d open; want 1, 1 of 2, 1 open",
+			tl.sold, tl.fresh, tl.demand, loop.book.OpenCount())
 	}
 }
 

@@ -11,15 +11,15 @@
 //   - once sold, the seller loses the discounted hourly rate for the
 //     instance's remaining period.
 //
-// The market is safe for concurrent use and fully deterministic:
-// equal-priced listings sell in listing order.
+// OrderBook is the one market model: an hour-stepped book whose asks
+// follow month-granularity declining price schedules, the
+// PriceSchedules shape of the real listing API. It is safe for
+// concurrent use and fully deterministic: equal-priced listings sell
+// in listing order.
 package marketplace
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 
 	"rimarket/internal/pricing"
 )
@@ -30,23 +30,6 @@ const AmazonFee = 0.12
 // ListingID identifies a live listing.
 type ListingID int64
 
-// Listing is one reserved instance offered for sale.
-type Listing struct {
-	// ID is the market-assigned identifier.
-	ID ListingID
-	// Seller names the listing user.
-	Seller string
-	// Instance is the price card of the listed reservation.
-	Instance pricing.InstanceType
-	// RemainingHours is the unexpired part of the reservation period.
-	RemainingHours int
-	// AskUpfront is the seller's asking upfront fee; the marketplace
-	// caps it at the prorated original upfront.
-	AskUpfront float64
-
-	seq int64 // arrival order for equal-price tie-breaks
-}
-
 // ProratedCap returns the maximum upfront a seller may ask: the
 // original upfront scaled by the remaining fraction of the period
 // (the paper's t2.nano example: half the cycle left caps the ask at $9
@@ -55,222 +38,6 @@ func ProratedCap(it pricing.InstanceType, remainingHours int) float64 {
 	return it.Upfront * float64(remainingHours) / float64(it.PeriodHours)
 }
 
-// Sale records one completed purchase.
-type Sale struct {
-	// Listing is the listing that sold.
-	Listing Listing
-	// Buyer names the purchasing user.
-	Buyer string
-	// PricePaid is the upfront the buyer paid (the ask).
-	PricePaid float64
-	// Fee is the marketplace's cut.
-	Fee float64
-	// SellerProceeds is PricePaid - Fee.
-	SellerProceeds float64
-}
-
-// Market is a deterministic reserved-instance marketplace.
-type Market struct {
-	mu sync.Mutex
-
-	fee      float64
-	nextID   ListingID
-	nextSeq  int64
-	books    map[string][]*Listing // instance type name -> open listings
-	byID     map[ListingID]*Listing
-	proceeds map[string]float64
-	sales    []Sale
-	feeTotal float64
-}
-
-// Option configures a Market.
-type Option func(*Market)
-
-// WithFee overrides the marketplace service fee (default AmazonFee).
-func WithFee(fee float64) Option {
-	return func(m *Market) { m.fee = fee }
-}
-
-// New returns an empty marketplace.
-func New(opts ...Option) (*Market, error) {
-	m := &Market{
-		fee:      AmazonFee,
-		books:    make(map[string][]*Listing),
-		byID:     make(map[ListingID]*Listing),
-		proceeds: make(map[string]float64),
-	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	if m.fee < 0 || m.fee >= 1 {
-		return nil, fmt.Errorf("marketplace: fee %v outside [0, 1)", m.fee)
-	}
-	return m, nil
-}
-
 // ErrNoListings is returned by Buy when no listing of the requested
 // type is open.
 var ErrNoListings = errors.New("marketplace: no open listings for instance type")
-
-// List offers a reservation's remaining period for sale at the given
-// asking upfront fee. The ask must be positive and at most the
-// prorated cap; the remaining period must be a positive strict part of
-// the full period.
-func (m *Market) List(seller string, it pricing.InstanceType, remainingHours int, askUpfront float64) (ListingID, error) {
-	if seller == "" {
-		return 0, errors.New("marketplace: empty seller")
-	}
-	if err := it.Validate(); err != nil {
-		return 0, err
-	}
-	if remainingHours <= 0 || remainingHours >= it.PeriodHours {
-		return 0, fmt.Errorf("marketplace: remaining hours %d outside (0, %d)", remainingHours, it.PeriodHours)
-	}
-	cap := ProratedCap(it, remainingHours)
-	if askUpfront <= 0 || askUpfront > cap+1e-9 {
-		return 0, fmt.Errorf("marketplace: ask %v outside (0, %v] (prorated cap)", askUpfront, cap)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextID++
-	m.nextSeq++
-	l := &Listing{
-		ID:             m.nextID,
-		Seller:         seller,
-		Instance:       it,
-		RemainingHours: remainingHours,
-		AskUpfront:     askUpfront,
-		seq:            m.nextSeq,
-	}
-	m.byID[l.ID] = l
-	book := append(m.books[it.Name], l)
-	sort.SliceStable(book, func(a, b int) bool {
-		if book[a].AskUpfront != book[b].AskUpfront {
-			return book[a].AskUpfront < book[b].AskUpfront
-		}
-		return book[a].seq < book[b].seq
-	})
-	m.books[it.Name] = book
-	return l.ID, nil
-}
-
-// ListAtDiscount lists at discount a of the prorated cap — how the
-// paper's sellers price (ask = a * R * remaining/T).
-func (m *Market) ListAtDiscount(seller string, it pricing.InstanceType, remainingHours int, discount float64) (ListingID, error) {
-	if discount <= 0 || discount > 1 {
-		return 0, fmt.Errorf("marketplace: discount %v outside (0, 1]", discount)
-	}
-	return m.List(seller, it, remainingHours, discount*ProratedCap(it, remainingHours))
-}
-
-// Cancel withdraws an open listing.
-func (m *Market) Cancel(id ListingID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.byID[id]
-	if !ok {
-		return fmt.Errorf("marketplace: listing %d not open", id)
-	}
-	delete(m.byID, id)
-	m.removeFromBookLocked(l)
-	return nil
-}
-
-func (m *Market) removeFromBookLocked(l *Listing) {
-	book := m.books[l.Instance.Name]
-	for i, e := range book {
-		if e.ID == l.ID {
-			if len(book) == 1 {
-				// Last listing of the type: drop the key, not just the
-				// elements, so a long-lived market over many instance
-				// types does not retain one empty slice per type seen.
-				delete(m.books, l.Instance.Name)
-				return
-			}
-			m.books[l.Instance.Name] = append(book[:i], book[i+1:]...)
-			return
-		}
-	}
-}
-
-// Buy purchases up to count instances of the named type, cheapest
-// listings first (the paper's selling sequence). It returns the
-// completed sales; fewer than count sales is not an error, but zero
-// open listings is ErrNoListings.
-func (m *Market) Buy(buyer, instanceType string, count int) ([]Sale, error) {
-	if buyer == "" {
-		return nil, errors.New("marketplace: empty buyer")
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("marketplace: count %d must be positive", count)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	book := m.books[instanceType]
-	if len(book) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoListings, instanceType)
-	}
-	n := count
-	if n > len(book) {
-		n = len(book)
-	}
-	sales := make([]Sale, 0, n)
-	for _, l := range book[:n] {
-		fee := l.AskUpfront * m.fee
-		sale := Sale{
-			Listing:        *l,
-			Buyer:          buyer,
-			PricePaid:      l.AskUpfront,
-			Fee:            fee,
-			SellerProceeds: l.AskUpfront - fee,
-		}
-		m.proceeds[l.Seller] += sale.SellerProceeds
-		m.feeTotal += fee
-		m.sales = append(m.sales, sale)
-		delete(m.byID, l.ID)
-		sales = append(sales, sale)
-	}
-	if n == len(book) {
-		// The book drained: delete the key so the map shrinks instead of
-		// accumulating one empty slice per instance type ever traded.
-		delete(m.books, instanceType)
-	} else {
-		m.books[instanceType] = append([]*Listing(nil), book[n:]...)
-	}
-	return sales, nil
-}
-
-// OpenListings returns the open listings for an instance type in
-// selling order (cheapest first). The result is a copy.
-func (m *Market) OpenListings(instanceType string) []Listing {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	book := m.books[instanceType]
-	out := make([]Listing, len(book))
-	for i, l := range book {
-		out[i] = *l
-	}
-	return out
-}
-
-// Proceeds returns a seller's accumulated after-fee income.
-func (m *Market) Proceeds(seller string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.proceeds[seller]
-}
-
-// Sales returns a copy of all completed sales in execution order.
-func (m *Market) Sales() []Sale {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Sale(nil), m.sales...)
-}
-
-// FeesCollected returns the marketplace's total fee income.
-func (m *Market) FeesCollected() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.feeTotal
-}

@@ -87,17 +87,18 @@ type Metrics struct {
 	SnapshotReloadFails Counter
 	ServeRequestNs      Histogram
 
-	// Market counters, fed by the two-sided marketplace session driver
-	// (internal/experiments.RunMarketScenario). Offline cohort tools
-	// never touch them, so the manifest's market section stays absent
-	// unless a market session ran.
+	// Market counters, fed by the market loop both order-book sessions
+	// share (internal/experiments: RunMarketScenario and the
+	// rate-driven MarketSession). Offline cohort tools never touch
+	// them, so the manifest's market section stays absent unless a
+	// market session ran.
 	//
 	// MarketListings counts listings placed on the order book,
 	// MarketTrades matched fills, and MarketExpiries listings that aged
 	// off the book unsold. MarketBuyOrders counts buyer demand units
-	// entering the session and MarketFreshBuys the units that fell
-	// through to a fresh reservation because the book held no listing
-	// worth taking. MarketHoursToSale accumulates listing-to-fill waits
+	// entering the session (planned reservations or rate-driven
+	// arrivals) and MarketFreshBuys the units that fell through to a
+	// fresh reservation because the book held no listing worth taking. MarketHoursToSale accumulates listing-to-fill waits
 	// in hours over matched trades, so mean time-to-sale derives from it
 	// and MarketTrades.
 	MarketListings    Counter

@@ -185,13 +185,14 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 }
 
 // ListOnMarket lists every sold reservation's remaining period on the
-// market at the given discount and returns the total number of
-// listings created. Sellers are the service names.
-func ListOnMarket(m *marketplace.Market, res Result, discount float64) (int, error) {
+// order book under the declining schedule at the given discount and
+// returns the total number of listings created. Sellers are the
+// service names.
+func ListOnMarket(b *marketplace.OrderBook, res Result, discount float64) (int, error) {
 	listed := 0
 	for _, svc := range res.Services {
 		for _, remaining := range svc.SoldInstances {
-			if _, err := m.ListAtDiscount(svc.Name, svc.Instance, remaining, discount); err != nil {
+			if _, err := b.ListDeclining(svc.Name, svc.Instance, remaining, discount); err != nil {
 				return listed, fmt.Errorf("portfolio: list %s: %w", svc.Name, err)
 			}
 			listed++

@@ -231,22 +231,20 @@ func VerifyBound(schedule []bool, policy Threshold, a float64) (measured float64
 
 // Marketplace simulator (Section III.B).
 type (
-	// Market is a deterministic reserved-instance marketplace.
-	Market = marketplace.Market
+	// Market is the hour-stepped reserved-instance order book.
+	Market = marketplace.OrderBook
 	// Listing is one reservation offered for sale.
-	Listing = marketplace.Listing
+	Listing = marketplace.BookListing
 	// Sale records a completed purchase.
-	Sale = marketplace.Sale
+	Sale = marketplace.Trade
 )
 
 // AmazonFee is the marketplace service fee Amazon charges (12%).
 const AmazonFee = marketplace.AmazonFee
 
-// NewMarket returns an empty marketplace (fee defaults to AmazonFee).
-func NewMarket(opts ...marketplace.Option) (*Market, error) { return marketplace.New(opts...) }
-
-// WithMarketFee overrides the marketplace service fee.
-func WithMarketFee(fee float64) marketplace.Option { return marketplace.WithFee(fee) }
+// NewMarket returns an empty order book at hour 0 charging the given
+// service fee (Amazon: AmazonFee).
+func NewMarket(fee float64) (*Market, error) { return marketplace.NewOrderBook(fee) }
 
 // Workload substrate.
 type (

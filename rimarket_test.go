@@ -64,12 +64,12 @@ func TestFacadeCatalogAndRatios(t *testing.T) {
 }
 
 func TestFacadeMarketplace(t *testing.T) {
-	m, err := rimarket.NewMarket()
+	m, err := rimarket.NewMarket(rimarket.AmazonFee)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it := rimarket.D2XLarge()
-	if _, err := m.ListAtDiscount("seller", it, it.PeriodHours/2, 0.8); err != nil {
+	if _, err := m.ListDeclining("seller", it, it.PeriodHours/2, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	sales, err := m.Buy("buyer", it.Name, 1)
@@ -141,7 +141,7 @@ func TestFacadePortfolio(t *testing.T) {
 	if res.SavingsFraction() <= 0 {
 		t.Errorf("savings = %v, want positive (idle instance sold)", res.SavingsFraction())
 	}
-	m, err := rimarket.NewMarket(rimarket.WithMarketFee(0.12))
+	m, err := rimarket.NewMarket(0.12)
 	if err != nil {
 		t.Fatal(err)
 	}
