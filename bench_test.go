@@ -16,6 +16,7 @@ import (
 	"rimarket/internal/analysis"
 	"rimarket/internal/core"
 	"rimarket/internal/experiments"
+	"rimarket/internal/marketplace"
 	"rimarket/internal/pricing"
 	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
@@ -458,6 +459,37 @@ func BenchmarkMarketSession(b *testing.B) {
 			b.Fatal(err)
 		}
 		if points[0].Stats.Listed == 0 {
+			b.Fatal("no listings")
+		}
+	}
+}
+
+// BenchmarkMarketScenario measures the two-sided market session over
+// the bench cohort: synthesis, per-card planning and seller replays,
+// and the hour-stepped book trading d2.xlarge and m4.large, both with
+// the year scaled down as benchConfig scales its card.
+func BenchmarkMarketScenario(b *testing.B) {
+	cfg := benchConfig()
+	cfg.MarketFee = marketplace.AmazonFee
+	scale := float64(pricing.HoursPerYear) / float64(cfg.Instance.PeriodHours)
+	var cards []pricing.InstanceType
+	for _, name := range []string{"d2.xlarge", "m4.large"} {
+		it, err := pricing.StandardLinuxUSEast().Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		it.PeriodHours = cfg.Instance.PeriodHours
+		it.Upfront /= scale
+		cards = append(cards, it)
+	}
+	sc := experiments.MarketScenario{Base: cfg, Cards: cards}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunMarketScenario(context.Background(), sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Outcomes[0].Listed == 0 {
 			b.Fatal("no listings")
 		}
 	}

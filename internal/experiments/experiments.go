@@ -241,7 +241,9 @@ type namedPolicy struct {
 	policy simulate.SellingPolicy
 }
 
-func buildPolicies(cfg Config) ([]namedPolicy, error) {
+// onlinePolicies builds the paper's three online algorithms for the
+// config's card and discount, in SellingPolicies order.
+func onlinePolicies(cfg Config) ([]simulate.SellingPolicy, error) {
 	a3, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
 	if err != nil {
 		return nil, err
@@ -251,6 +253,14 @@ func buildPolicies(cfg Config) ([]namedPolicy, error) {
 		return nil, err
 	}
 	a4, err := core.NewAT4(cfg.Instance, cfg.SellingDiscount)
+	if err != nil {
+		return nil, err
+	}
+	return []simulate.SellingPolicy{a3, a2, a4}, nil
+}
+
+func buildPolicies(cfg Config) ([]namedPolicy, error) {
+	online, err := onlinePolicies(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,9 +278,9 @@ func buildPolicies(cfg Config) ([]namedPolicy, error) {
 	}
 	return []namedPolicy{
 		{name: PolicyKeep, policy: core.KeepReserved{}},
-		{name: PolicyA3T4, policy: a3},
-		{name: PolicyAT2, policy: a2},
-		{name: PolicyAT4, policy: a4},
+		{name: PolicyA3T4, policy: online[0]},
+		{name: PolicyAT2, policy: online[1]},
+		{name: PolicyAT4, policy: online[2]},
 		{name: PolicySell3T4, policy: s3},
 		{name: PolicySellT2, policy: s2},
 		{name: PolicySellT4, policy: s4},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -64,34 +65,52 @@ func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPoli
 }
 
 // sellEventsPerUser is sellEvents before concatenation: element i holds
-// user i's sell events in decision order.
+// user i's sell events in reservation order. Each user is replayed
+// once, records off, on its worker's reused engine; the sold instances
+// come from the engine's AppendSales, so no per-hour records are built.
+// The engine runs without the obs hook.
 func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policy simulate.SellingPolicy) ([][]SellEvent, error) {
-	cfg := p.cfg
-	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
-
+	engCfg := simulate.Config{Instance: p.cfg.Instance, SellingDiscount: p.cfg.SellingDiscount}
 	perUser := make([][]SellEvent, p.Len())
-	err := p.ForEachUser(ctx, func(i int, u PlannedUser) error {
-		run, err := simulate.Run(u.Trace.Demand, u.NewRes, engCfg, policy)
-		if err != nil {
-			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
-		}
-		for _, inst := range run.Instances {
-			if inst.SoldAt < 0 {
-				continue
-			}
-			perUser[i] = append(perUser[i], SellEvent{
-				Hour:           inst.SoldAt,
-				Seller:         u.Trace.User,
-				Instance:       cfg.Instance,
-				RemainingHours: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
-			})
-		}
-		return nil
+	replayers := make([]sellReplayer, workerCount(p.cfg.Parallelism, p.Len()))
+	_, _, err := runShardedDone(ctx, p.cfg.Parallelism, p.Len(), func(w, i int) error {
+		var err error
+		perUser[i], err = replayers[w].sellEvents(p.users[i], engCfg, policy)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return perUser, nil
+}
+
+// sellReplayer is one worker's scratch for deriving sell events: an
+// engine and a sales buffer, both reused from user to user.
+type sellReplayer struct {
+	eng   simulate.Engine
+	sales []simulate.InstanceRecord
+}
+
+// sellEvents replays u's plan under policy and returns u's sell events
+// in reservation order, or nil when u sells nothing.
+func (r *sellReplayer) sellEvents(u PlannedUser, cfg simulate.Config, policy simulate.SellingPolicy) ([]SellEvent, error) {
+	if _, err := r.eng.Totals(u.Trace.Demand, u.NewRes, cfg, policy); err != nil {
+		return nil, fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
+	}
+	r.sales = r.eng.AppendSales(r.sales[:0])
+	if len(r.sales) == 0 {
+		return nil, nil
+	}
+	events := make([]SellEvent, len(r.sales))
+	for k, inst := range r.sales {
+		events[k] = SellEvent{
+			Hour:           inst.SoldAt,
+			Seller:         u.Trace.User,
+			Instance:       cfg.Instance,
+			RemainingHours: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
+		}
+	}
+	return events, nil
 }
 
 // MarketSession collects every sell event the plan's A_{3T/4} runs
@@ -101,6 +120,9 @@ func (p *CohortPlan) MarketSession(ctx context.Context, buyerRates []float64) ([
 	for _, rate := range buyerRates {
 		if rate < 0 {
 			return nil, fmt.Errorf("experiments: buyer rate %v negative", rate)
+		}
+		if math.IsNaN(rate) || math.IsInf(rate, 0) {
+			return nil, fmt.Errorf("experiments: buyer rate %v not finite", rate)
 		}
 	}
 	cfg := p.cfg

@@ -221,6 +221,14 @@ func TestMarketSessionRejectsBadConfig(t *testing.T) {
 	if _, err := MarketSession(context.Background(), smallConfig(), []float64{1, -0.5}); err == nil {
 		t.Error("negative buyer rate accepted")
 	}
+	// int(rate) of a non-finite rate is an arbitrary arrival count; a
+	// session run on it would quietly have no buyers.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := MarketSession(context.Background(), smallConfig(), []float64{1, rate})
+		if err == nil || !strings.HasPrefix(err.Error(), "experiments: buyer rate ") {
+			t.Errorf("buyer rate %v: error %v, want a buyer-rate rejection", rate, err)
+		}
+	}
 }
 
 func TestMarketSessionDeterministic(t *testing.T) {

@@ -6,24 +6,24 @@ import (
 	"sort"
 	"strings"
 
-	"rimarket/internal/core"
 	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 	"rimarket/internal/simulate"
+	"rimarket/internal/workload"
 )
 
 // MarketScenario parameterizes a two-sided market session: one shared
 // cohort configuration and the set of price cards traded on the book.
-// Per card, the cohort is re-planned (reservation behaviors depend on
-// the card); each user's sell decisions under one of the paper's three
-// online algorithms — assigned round-robin across the cohort, so
-// listings arrive from T/4 onward instead of all at 3T/4 — become the
-// seller side, while the planned reservation schedules become the
-// buyer side: every new reservation a behavior would buy fresh first
-// shops the order book for a cheaper-per-hour used listing. No
-// exogenous sale probability or buyer arrival rate enters anywhere:
-// fills emerge from the two sides meeting on the book.
+// The cohort is synthesized once and planned per card (reservation
+// behaviors depend on the card). Each user's sell decisions under one
+// of the paper's three online algorithms — assigned round-robin across
+// the cohort, so listings arrive from T/4 onward instead of all at
+// 3T/4 — become the seller side, while the planned reservation
+// schedules become the buyer side: every new reservation a behavior
+// would buy fresh first shops the order book for a cheaper-per-hour
+// used listing. No exogenous sale probability or buyer arrival rate
+// enters anywhere: fills emerge from the two sides meeting on the book.
 type MarketScenario struct {
 	// Base is the shared cohort configuration. Base.Instance is ignored
 	// (Cards supplies the traded types); Base.MarketFee is the book's
@@ -103,50 +103,19 @@ type MarketResult struct {
 	BuyerPaid, SellerProceeds, Fees float64
 }
 
-// mixedSellEvents builds one card's seller stream: user i sells under
-// SellingPolicies[i mod 3], so the three online algorithms coexist in
-// one market and listings arrive throughout the horizon. Events are
-// merged in cohort order; the session stable-sorts them by hour, so
-// listing order — and hence equal-ask fill priority — is
-// deterministic.
-func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]SellEvent, error) {
-	a3, err := core.NewA3T4(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	a2, err := core.NewAT2(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	a4, err := core.NewAT4(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	perUser := make([][]SellEvent, plan.Len())
-	for pi, policy := range []simulate.SellingPolicy{a3, a2, a4} {
-		got, err := plan.sellEventsPerUser(ctx, policy)
-		if err != nil {
-			return nil, err
-		}
-		for i := pi; i < len(got); i += 3 {
-			perUser[i] = got[i]
-		}
-	}
-	var events []SellEvent
-	for _, evs := range perUser {
-		events = append(events, evs...)
-	}
-	return events, nil
-}
-
-// RunMarketScenario plans the scenario's cohort once per card, then
-// replays all cards through a single hour-stepped order book on the
-// shared market loop: each hour ages the book (expiring and repricing
-// listings), lists the hour's sell decisions, and routes the hour's
-// planned reservations through the book before falling back to fresh
-// purchases. The session loop is sequential, and its inputs are
-// concatenated in cohort order by deterministic fan-outs, so the
-// result is byte-identical at any Parallelism.
+// RunMarketScenario synthesizes the scenario's cohort once, then per
+// card runs one sharded pass over its users: job i plans user i for the
+// card, replays the plan once, records off, under
+// SellingPolicies[i mod 3] — so the three online algorithms coexist in
+// one market and listings arrive from T/4 onward instead of all at
+// 3T/4 — and keeps only the user's sell events and the hours it
+// reserves at. The plan dies with the job. All cards then trade through
+// a single hour-stepped order book on the shared market loop: each hour
+// ages the book (expiring and repricing listings), lists the hour's
+// sell decisions, and routes the hour's planned reservations through
+// the book before falling back to fresh purchases. The session loop is
+// sequential and its inputs are kept in cohort order, so the result is
+// byte-identical at any Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the
@@ -158,23 +127,28 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	sp := obs.StartSpan(ctx, "market-session")
 	defer sp.End()
 
-	// users[ci] are card ci's planned users, whose reservation
-	// schedules shop the book.
-	users := make([][]PlannedUser, len(sc.Cards))
+	// The cohort depends only on PerGroup, Hours and Seed, which every
+	// card shares. Validate has checked the first card's config, as
+	// NewCohortPlan checks a config before it synthesizes; every later
+	// card's is checked in turn below.
+	traces, err := synthesize(sc.Base)
+	if err != nil {
+		return nil, err
+	}
 	var events []SellEvent
+	schedules := make([]buyerSchedule, len(sc.Cards))
 	for ci, card := range sc.Cards {
 		cfg := sc.Base
 		cfg.Instance = card
-		plan, err := NewCohortPlan(ctx, cfg)
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		evs, sched, err := cardSides(ctx, cfg, traces)
 		if err != nil {
 			return nil, err
 		}
-		evs, err := mixedSellEvents(ctx, plan, card, cfg.SellingDiscount)
-		if err != nil {
-			return nil, err
-		}
-		users[ci] = plan.Users()
 		events = append(events, evs...)
+		schedules[ci] = sched
 	}
 	// Within an hour, cards list in scenario order and each card's
 	// sellers in cohort order: the stable sort keeps the
@@ -193,13 +167,10 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	}
 	// Buyers: each planned reservation shops the book first.
 	buyers := func(hour int) error {
-		for ci, cardUsers := range users {
-			for _, u := range cardUsers {
-				if hour >= len(u.NewRes) {
-					continue
-				}
-				for k := 0; k < u.NewRes[hour]; k++ {
-					if err := loop.buy(u.Trace.User, ci, takes[ci]); err != nil {
+		for ci, sched := range schedules {
+			for _, o := range sched.hour(hour) {
+				for k := 0; k < o.count; k++ {
+					if err := loop.buy(traces[o.user].User, ci, takes[ci]); err != nil {
 						return err
 					}
 				}
@@ -211,9 +182,101 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	if err := loop.run(events, horizon, buyers); err != nil {
 		return nil, err
 	}
+	return marketResult(loop, sc.Cards, horizon), nil
+}
 
-	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
-	for ci, card := range sc.Cards {
+// buyOrder is one user's reservations at one hour.
+type buyOrder struct {
+	user, count int
+}
+
+// buyerSchedule is one card's buyer side: every planned reservation,
+// bucketed by hour. Hour h's orders are orders[off[h]:off[h+1]], in
+// cohort order, so the buyers walk only the hours' actual orders.
+type buyerSchedule struct {
+	off    []int
+	orders []buyOrder
+}
+
+// hour returns the orders placed at hour h.
+func (s buyerSchedule) hour(h int) []buyOrder {
+	return s.orders[s.off[h]:s.off[h+1]]
+}
+
+// reservedAt is one hour a user reserves at, with the count.
+type reservedAt struct {
+	hour, count int
+}
+
+// newBuyerSchedule buckets the users' sparse reservation lists (user
+// i's at perUser[i]) by hour over [0, horizon).
+func newBuyerSchedule(horizon int, perUser [][]reservedAt) buyerSchedule {
+	off := make([]int, horizon+1)
+	for _, rs := range perUser {
+		for _, r := range rs {
+			off[r.hour+1]++
+		}
+	}
+	for h := 1; h <= horizon; h++ {
+		off[h] += off[h-1]
+	}
+	orders := make([]buyOrder, off[horizon])
+	next := append([]int(nil), off[:horizon]...)
+	for u, rs := range perUser {
+		for _, r := range rs {
+			orders[next[r.hour]] = buyOrder{user: u, count: r.count}
+			next[r.hour]++
+		}
+	}
+	return buyerSchedule{off: off, orders: orders}
+}
+
+// cardSides builds one card's two sides of the market in one sharded
+// pass over the cohort: job i plans user i (planUser, the path
+// NewCohortPlan takes), replays the plan on the worker's engine under
+// SellingPolicies[i mod 3], and keeps the user's sell events and its
+// sparse reservation list. Sell events come back concatenated in
+// cohort order.
+func cardSides(ctx context.Context, cfg Config, traces []workload.Trace) ([]SellEvent, buyerSchedule, error) {
+	policies, err := onlinePolicies(cfg)
+	if err != nil {
+		return nil, buyerSchedule{}, err
+	}
+	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
+
+	sells := make([][]SellEvent, len(traces))
+	reserved := make([][]reservedAt, len(traces))
+	replayers := make([]sellReplayer, workerCount(cfg.Parallelism, len(traces)))
+	_, _, err = runShardedDone(ctx, cfg.Parallelism, len(traces), func(w, i int) error {
+		u, err := planUser(cfg, traces[i], i)
+		if err != nil {
+			return err
+		}
+		if sells[i], err = replayers[w].sellEvents(u, engCfg, policies[i%len(policies)]); err != nil {
+			return err
+		}
+		for h, n := range u.NewRes {
+			if n > 0 {
+				reserved[i] = append(reserved[i], reservedAt{hour: h, count: n})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, buyerSchedule{}, err
+	}
+	var events []SellEvent
+	for _, evs := range sells {
+		events = append(events, evs...)
+	}
+	return events, newBuyerSchedule(cfg.Hours, reserved), nil
+}
+
+// marketResult reads a finished scenario session's outcomes off its
+// loop, one per card in scenario order.
+func marketResult(loop *marketLoop, cards []pricing.InstanceType, horizon int) *MarketResult {
+	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(cards))}
+	for ci, card := range cards {
 		t := &loop.tallies[ci]
 		var saleProb, meanWait, fillRate float64
 		if t.listed > 0 {
@@ -245,7 +308,7 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 		}
 	}
 	res.BuyerPaid, res.SellerProceeds, res.Fees = loop.book.Totals()
-	return res, nil
+	return res
 }
 
 // usedBeatsFresh is the cohort buyers' rule: take the book's best

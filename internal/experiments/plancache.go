@@ -63,15 +63,22 @@ func NewCohortPlan(ctx context.Context, cfg Config) (*CohortPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	traces, err := workload.NewCohort(workload.CohortConfig{
-		PerGroup: cfg.PerGroup,
-		Hours:    cfg.Hours,
-		Seed:     cfg.Seed,
-	})
+	traces, err := synthesize(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return newPlan(ctx, cfg, traces)
+}
+
+// synthesize generates the config's cohort. It depends only on
+// PerGroup, Hours and Seed, so configs that differ in anything else
+// share it.
+func synthesize(cfg Config) ([]workload.Trace, error) {
+	return workload.NewCohort(workload.CohortConfig{
+		PerGroup: cfg.PerGroup,
+		Hours:    cfg.Hours,
+		Seed:     cfg.Seed,
+	})
 }
 
 // PlanTraces builds a plan from externally supplied traces (e.g. real
@@ -110,27 +117,35 @@ func newPlan(ctx context.Context, cfg Config, traces []workload.Trace) (*CohortP
 		keeps: make(map[pricing.InstanceType][]KeepStat),
 	}
 	err := runIndexed(ctx, cfg.Parallelism, len(traces), func(i int) error {
-		tr := traces[i]
-		behavior := Behaviors[i%len(Behaviors)]
-		planner, err := behaviorPolicy(cfg, behavior, int64(i))
-		if err != nil {
-			return err
-		}
-		newRes, err := purchasing.PlanReservations(tr.Demand, cfg.Instance.PeriodHours, planner)
-		if err != nil {
-			return fmt.Errorf("experiments: user %s: %w", tr.User, err)
-		}
-		reserved := 0
-		for _, n := range newRes {
-			reserved += n
-		}
-		p.users[i] = PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved}
-		return nil
+		u, err := planUser(cfg, traces[i], i)
+		p.users[i] = u
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// planUser plans cohort member i's reservations under the config's
+// card. The behavior is Behaviors[i mod 4], seeded from i, so the plan
+// depends only on the config, the trace and the index — never on which
+// worker plans it or on what else is planned.
+func planUser(cfg Config, tr workload.Trace, i int) (PlannedUser, error) {
+	behavior := Behaviors[i%len(Behaviors)]
+	planner, err := behaviorPolicy(cfg, behavior, int64(i))
+	if err != nil {
+		return PlannedUser{}, err
+	}
+	newRes, err := purchasing.PlanReservations(tr.Demand, cfg.Instance.PeriodHours, planner)
+	if err != nil {
+		return PlannedUser{}, fmt.Errorf("experiments: user %s: %w", tr.User, err)
+	}
+	reserved := 0
+	for _, n := range newRes {
+		reserved += n
+	}
+	return PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved}, nil
 }
 
 // Config returns the plan's experiment configuration.

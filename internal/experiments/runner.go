@@ -344,14 +344,3 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 	}
 	return out, nil
 }
-
-// ForEachUser runs fn once per planned user over the plan's worker
-// pool. fn is called concurrently and must write only state owned by
-// its index; errors follow runIndexed's lowest-index-wins rule, panics
-// are captured as *JobPanicError, and cancelling ctx drains in-flight
-// users and returns the context's error.
-func (p *CohortPlan) ForEachUser(ctx context.Context, fn func(i int, u PlannedUser) error) error {
-	return runIndexed(ctx, p.cfg.Parallelism, len(p.users), func(i int) error {
-		return fn(i, p.users[i])
-	})
-}

@@ -125,10 +125,11 @@ func TestBatchGridEquivalence(t *testing.T) {
 }
 
 // TestBatchMarketSessionEquivalence: the sale events feeding market
-// replay come from full Run records; per user they must number exactly
-// the sold count the totals run reports for the same policy, and the
-// session must list every one of them, identically at any worker
-// count.
+// replay come from a records-free replay on reused Engines; per user
+// they must equal the events derived from full Run records and number
+// exactly the sold count the totals run reports for the same policy,
+// and the session must list every one of them, identically at any
+// worker count.
 func TestBatchMarketSessionEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	rates := []float64{0.05, 0.5}
@@ -157,6 +158,13 @@ func TestBatchMarketSessionEquivalence(t *testing.T) {
 	perUser, err := plan.sellEventsPerUser(context.Background(), policy)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fromRecords, err := referenceSellEventsPerUser(context.Background(), plan, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(perUser, fromRecords) {
+		t.Fatal("sell events differ from the ones derived from full Run records")
 	}
 	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
 	var eng simulate.Engine

@@ -45,20 +45,20 @@ func PlanReservations(demand []int, periodHours int, p Policy) ([]int, error) {
 	}
 	newRes := make([]int, len(demand))
 	active := 0
-	// expiries[i] counts reservations expiring at hour i.
-	expiries := make([]int, len(demand)+periodHours+1)
 	for t, d := range demand {
 		if d < 0 {
 			return nil, fmt.Errorf("purchasing: negative demand %d at hour %d", d, t)
 		}
-		active -= expiries[t]
+		// The reservations made one period ago expire now.
+		if t >= periodHours {
+			active -= newRes[t-periodHours]
+		}
 		n := p.Reserve(t, d, active)
 		if n < 0 {
 			return nil, fmt.Errorf("purchasing: policy returned negative count %d at hour %d", n, t)
 		}
 		newRes[t] = n
 		active += n
-		expiries[t+periodHours] += n
 	}
 	return newRes, nil
 }
@@ -110,6 +110,10 @@ func (r *Random) Reserve(_, demand, active int) int {
 //
 // the level is covered with a new reservation. BreakEvenScale shrinks
 // beta for the paper's fourth behavior imitator (WangVariant).
+//
+// Instance and BreakEvenScale are read once, at the first Reserve, and
+// Instance must be a valid card (a positive period); a policy plans one
+// demand series.
 type WangOnline struct {
 	// Instance supplies R, p and alpha.
 	Instance pricing.InstanceType
@@ -117,15 +121,38 @@ type WangOnline struct {
 	// algorithm, values in (0, 1) reserve more eagerly. Zero means 1.
 	BreakEvenScale float64
 
-	levels []levelState
+	started bool
+	beta    float64 // break-even hours, resolved at the first Reserve
+	period  int
+	// levels[j] is level j's break-even count.
+	levels []levelCount
+	// window is the on-demand hours inside the sliding window, oldest
+	// first, in a ring: window[(head+k) % len(window)] for k < n. The
+	// levels that paid on-demand in one hour are a contiguous range,
+	// so one entry per hour records every level's window at once. It
+	// grows lazily, doubling when full, and never past one entry per
+	// hour of the period.
+	window  []spentHour
+	head, n int
+	// resExp is a FIFO of the policy's own reservations by expiry hour:
+	// each Reserve appends at most one entry, t + period, so the hours
+	// ascend and expiry only ever pops the front.
 	resExp []pendingExpiry
 	active int
 }
 
-type levelState struct {
-	// hours holds the timestamps of on-demand hours inside the current
-	// window, oldest first.
-	hours []int
+// levelCount is one level's on-demand hours inside the window since
+// the level was last reserved at: hours before since were cleared by
+// that reservation and no longer count.
+type levelCount struct {
+	count, since int
+}
+
+// spentHour records that levels [lo, hi) paid on-demand at hour. A
+// level is an instance of demand, so int32 holds any level index.
+type spentHour struct {
+	hour   int
+	lo, hi int32
 }
 
 type pendingExpiry struct {
@@ -151,56 +178,86 @@ func (w *WangOnline) breakEvenHours() float64 {
 	if scale == 0 {
 		scale = 1
 	}
-	it := w.Instance
+	it := &w.Instance
 	return scale * it.Upfront / (it.OnDemandHourly * (1 - it.Alpha()))
 }
 
 // Reserve implements Policy. The active argument is ignored: the
 // algorithm tracks its own coverage because its decisions depend on
 // which demand levels its own reservations cover.
+//
+// The break-even counts are kept incrementally: an hour that leaves
+// the window takes one off each level it counted for, and this hour
+// adds one to each uncovered occupied level, so no level's window is
+// ever rescanned.
 func (w *WangOnline) Reserve(t, demand, _ int) int {
-	period := w.Instance.PeriodHours
-	beta := w.breakEvenHours()
+	if !w.started {
+		w.beta, w.period, w.started = w.breakEvenHours(), w.Instance.PeriodHours, true
+	}
 
 	// Expire our own reservations.
-	kept := w.resExp[:0]
-	for _, e := range w.resExp {
-		if e.hour > t {
-			kept = append(kept, e)
-		} else {
-			w.active -= e.count
-		}
+	for len(w.resExp) > 0 && w.resExp[0].hour <= t {
+		w.active -= w.resExp[0].count
+		w.resExp = w.resExp[1:]
 	}
-	w.resExp = kept
+
+	// Drop the hours that fell out of the window (t-period, t] from the
+	// counts they still stand in.
+	for w.n > 0 && w.window[w.head].hour <= t-w.period {
+		h := w.window[w.head]
+		for j := int(h.lo); j < int(h.hi); j++ {
+			if lv := &w.levels[j]; h.hour >= lv.since {
+				lv.count--
+			}
+		}
+		w.head++
+		if w.head == len(w.window) {
+			w.head = 0
+		}
+		w.n--
+	}
 
 	// Grow level state to cover this hour's demand.
 	for len(w.levels) < demand {
-		w.levels = append(w.levels, levelState{})
+		w.levels = append(w.levels, levelCount{})
 	}
 
+	// Levels below active are served by our reservations; the rest pay
+	// on-demand this hour. Each that reaches beta buys one reservation
+	// and starts its count afresh.
+	lo := w.active
 	reserve := 0
-	covered := w.active
-	for j := 0; j < demand; j++ {
-		if j < covered {
-			continue // served by an active reservation, no on-demand spend
-		}
+	for j := lo; j < demand; j++ {
 		lv := &w.levels[j]
-		lv.hours = append(lv.hours, t)
-		// Prune hours that fell out of the window (t-period, t].
-		cut := 0
-		for cut < len(lv.hours) && lv.hours[cut] <= t-period {
-			cut++
-		}
-		lv.hours = lv.hours[cut:]
-		if float64(len(lv.hours)) >= beta {
+		lv.count++
+		if float64(lv.count) >= w.beta {
 			reserve++
-			covered++
-			lv.hours = lv.hours[:0]
+			lv.count, lv.since = 0, t+1
 		}
+	}
+	if lo < demand {
+		w.push(spentHour{hour: t, lo: int32(lo), hi: int32(demand)})
 	}
 	if reserve > 0 {
 		w.active += reserve
-		w.resExp = append(w.resExp, pendingExpiry{hour: t + period, count: reserve})
+		w.resExp = append(w.resExp, pendingExpiry{hour: t + w.period, count: reserve})
 	}
 	return reserve
+}
+
+// push appends h at the back of the window ring, doubling it when full.
+// The window never holds more than one entry per hour of the period.
+func (w *WangOnline) push(h spentHour) {
+	if w.n == len(w.window) {
+		grown := make([]spentHour, min(max(4, 2*len(w.window)), w.period))
+		k := copy(grown, w.window[w.head:])
+		copy(grown[k:], w.window[:w.head])
+		w.window, w.head = grown, 0
+	}
+	i := w.head + w.n
+	if i >= len(w.window) {
+		i -= len(w.window)
+	}
+	w.window[i] = h
+	w.n++
 }

@@ -151,23 +151,27 @@ func cohortTotals(users []cohortUser, cfg Config, policy SellingPolicy, par int)
 // TestDifferentialBatchEquivalence is cohort replay's safety net: 250
 // seeded cohorts, every policy shape, and every user's Totals ≡ the
 // totals its per-user Run implies — from one Engine carried across all
-// 250 cases, and from fresh per-goroutine Engines at parallelism 1, 3
+// 250 cases, whose AppendSales must also return the user's sold
+// records from Run, and from fresh per-goroutine Engines at parallelism 1, 3
 // and GOMAXPROCS — with bit-identical floats throughout.
 func TestDifferentialBatchEquivalence(t *testing.T) {
 	const cases = 250
 	rng := rand.New(rand.NewSource(20180708)) // same vintage, fresh stream
 	parallelisms := []int{1, 3, 0}            // 0 = GOMAXPROCS
 	var carried Engine
+	var sales []InstanceRecord // reused across users: a stale tail would show
 	for i := 0; i < cases; i++ {
 		c := sampleBatchCase(rng, i)
 		t.Run(c.name, func(t *testing.T) {
 			want := make([]Totals, len(c.users))
+			wantSales := make([][]InstanceRecord, len(c.users))
 			for u := range c.users {
 				res, err := Run(c.users[u].demand, c.users[u].newRes, c.cfg, c.policy)
 				if err != nil {
 					t.Fatalf("per-user engine rejected sampled input: %v", err)
 				}
 				want[u] = totalsOf(res)
+				wantSales[u] = salesOf(res)
 			}
 
 			for u := range want {
@@ -178,6 +182,8 @@ func TestDifferentialBatchEquivalence(t *testing.T) {
 				if got != want[u] {
 					t.Fatalf("carried Engine user %d: totals differ:\n got %+v\nwant %+v", u, got, want[u])
 				}
+				sales = carried.AppendSales(sales[:0])
+				assertSalesIdentical(t, sales, wantSales[u])
 			}
 
 			for _, par := range parallelisms {

@@ -182,6 +182,34 @@ func totalsOf(res Result) Totals {
 	return tot
 }
 
+// salesOf is what AppendSales must return after a Totals run on the
+// same inputs: Run's sold instances in reservation order, without
+// schedules (Totals records none).
+func salesOf(res Result) []InstanceRecord {
+	var out []InstanceRecord
+	for _, in := range res.Instances {
+		if in.SoldAt >= 0 {
+			in.Schedule = nil
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// assertSalesIdentical fails unless got and want hold the same
+// records, field for field and in order.
+func assertSalesIdentical(t *testing.T, got, want []InstanceRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("AppendSales returned %d records, Run sold %d", len(got), len(want))
+	}
+	for k := range want {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("sale %d differs:\n got %+v\nwant %+v", k, got[k], want[k])
+		}
+	}
+}
+
 // assertErrorsIdentical fails unless got and want are both nil or
 // both non-nil with the same text.
 func assertErrorsIdentical(t *testing.T, engine string, got, want error) {
@@ -197,14 +225,16 @@ func assertErrorsIdentical(t *testing.T, engine string, got, want error) {
 // TestDifferentialEngineEquivalence is the safety net for the
 // optimized engine: ≥200 seeded cases, every policy shape, optimized
 // Run ≡ runReference field for field, and Totals ≡ the reference's
-// totals. One Engine serves every case, so scratch state left over
-// from a larger or differently-shaped earlier case would show up as a
-// divergence. The inputs must come back untouched, which is what lets
+// totals, and AppendSales after Totals ≡ the reference's sold
+// instance records. One Engine serves every case, so scratch state left
+// over from a larger or differently-shaped earlier case would show up
+// as a divergence. The inputs must come back untouched, which is what lets
 // callers alias one series across many users.
 func TestDifferentialEngineEquivalence(t *testing.T) {
 	const cases = 250
 	rng := rand.New(rand.NewSource(20180702)) // ICDCS'18 vintage
 	var eng Engine
+	var sales []InstanceRecord
 	for i := 0; i < cases; i++ {
 		c := sampleDiffCase(rng, i)
 		t.Run(c.name, func(t *testing.T) {
@@ -225,6 +255,8 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			if wantTot := totalsOf(want); tot != wantTot {
 				t.Fatalf("Totals differ:\n got %+v\nwant %+v", tot, wantTot)
 			}
+			sales = eng.AppendSales(sales[:0])
+			assertSalesIdentical(t, sales, salesOf(want))
 		})
 	}
 }

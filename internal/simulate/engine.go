@@ -182,6 +182,22 @@ func (e *Engine) Totals(demand, newRes []int, cfg Config, policy SellingPolicy) 
 	return e.replay(demand, newRes, cfg, policy, nil), nil
 }
 
+// AppendSales appends the records of the instances the engine's last
+// replay sold to dst, in reservation order, and returns the extended
+// slice. After a successful Totals they are exactly the Instances with
+// SoldAt >= 0 that Run returns for the same inputs, with a nil Schedule
+// (Totals records none). A rejected call replays nothing, so it leaves
+// the previous replay's sales in place. Appending into a buffer with
+// room allocates nothing.
+func (e *Engine) AppendSales(dst []InstanceRecord) []InstanceRecord {
+	for j := range e.slab {
+		if e.slab[j].sold {
+			dst = append(dst, e.slab[j].rec)
+		}
+	}
+	return dst
+}
+
 // layout fills the engine's scratch for a validated run. The instance
 // slab holds every reserved instance in reservation order (start
 // ascending, batch index ascending), hour t's batch at

@@ -12,7 +12,8 @@ import (
 // that it (a) never panics, (b) conserves the Eq. (1) accounting
 // identities, and (c) stays field-for-field identical to the reference
 // engine, with the totals run of one Engine reused across every input
-// matching the reference's totals. Seed corpus lives in
+// matching the reference's totals and its AppendSales matching the
+// reference's sold instance records. Seed corpus lives in
 // testdata/fuzz/FuzzEngineRun.
 func FuzzEngineRun(f *testing.F) {
 	var eng Engine // reused across inputs: stale scratch would diverge
@@ -133,5 +134,6 @@ func FuzzEngineRun(f *testing.F) {
 		if wantTot := totalsOf(want); tot != wantTot {
 			t.Fatalf("totals diverge from reference:\n got %+v\nwant %+v", tot, wantTot)
 		}
+		assertSalesIdentical(t, eng.AppendSales(nil), salesOf(want))
 	})
 }

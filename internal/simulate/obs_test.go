@@ -135,13 +135,15 @@ func TestRunMetricsAllocParity(t *testing.T) {
 }
 
 // TestTotalsWarmZeroAllocs pins the reusable engine's contract: once an
-// Engine's scratch has grown to fit a user, replaying that user again
+// Engine's scratch has grown to fit a user, replaying that user again,
+// and appending its sales into the buffer the last replay filled,
 // allocates nothing — with or without the metrics hook, and for the
 // single-checkpoint, multi-checkpoint and per-instance policy shapes.
 func TestTotalsWarmZeroAllocs(t *testing.T) {
 	demand, newRes := obsSeries()
 	cfg := testConfig()
 	cfg.Metrics = new(obs.EngineMetrics)
+	sold := 0
 	for _, policy := range []SellingPolicy{
 		KeepReserved{},
 		sellAlways{age: 10},
@@ -152,13 +154,19 @@ func TestTotalsWarmZeroAllocs(t *testing.T) {
 		if _, err := eng.Totals(demand, newRes, cfg, policy); err != nil {
 			t.Fatal(err)
 		}
+		sales := eng.AppendSales(nil)
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := eng.Totals(demand, newRes, cfg, policy); err != nil {
 				t.Fatal(err)
 			}
+			sales = eng.AppendSales(sales[:0])
 		})
 		if allocs != 0 {
-			t.Errorf("policy %T: warm Totals allocates %.1f times per run, want 0", policy, allocs)
+			t.Errorf("policy %T: warm Totals+AppendSales allocates %.1f times per run, want 0", policy, allocs)
 		}
+		sold += len(sales)
+	}
+	if sold == 0 {
+		t.Fatal("no policy sold anything; the AppendSales path went unexercised")
 	}
 }
